@@ -41,6 +41,7 @@ from .closedforms import (
     ab_closed,
     ace3d_count,
     general_count,
+    general_sequence,
     halfplane_closed,
     quadrant_axis_sum,
     touchard_terms,

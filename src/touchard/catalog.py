@@ -159,6 +159,10 @@ def named_closed_form(walk_type: WalkType):
     return None
 
 
+def _fmt(value) -> str:
+    return "-" if value is None else str(value)
+
+
 @dataclass(frozen=True)
 class RowCheck:
     """One verified (type, n) cell of the report."""
@@ -172,12 +176,9 @@ class RowCheck:
     status: str
 
     def structured(self) -> str:
-        def fmt(value):
-            return "-" if value is None else str(value)
-
         return (
-            f"{self.type_letters} {self.n} {fmt(self.oracle)} {fmt(self.formula)} "
-            f"{fmt(self.closed)} {fmt(self.golden)} {self.status}"
+            f"{self.type_letters} {self.n} {_fmt(self.oracle)} {_fmt(self.formula)} "
+            f"{_fmt(self.closed)} {_fmt(self.golden)} {self.status}"
         )
 
 
@@ -323,7 +324,3 @@ def verify_table3(
             row_max = min(row_max, n_max)
         _merge(report, verify(record.walk_type, row_max, limits, records))
     return report
-
-
-def _fmt(value) -> str:
-    return "-" if value is None else str(value)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: count, sequence, enumerate, validate, dyck, verify, render.
-Exit codes: 0 on success, 1 on input errors (including guard refusals),
-2 when verification finds a golden mismatch.
+Exit codes: 0 on success, 1 on input errors (including guard refusals
+and exhausted recursion depth or memory), 2 when verification finds a
+golden mismatch.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 
 from . import catalog, render
 from .bijections import dyck_to_touchard, parse_dyck, touchard_to_dyck, TYPE_AE
-from .closedforms import general_count
+from .closedforms import general_count, general_sequence
 from .oracle import (
     DEFAULT_LIMITS,
     GuardExceeded,
@@ -22,7 +23,6 @@ from .oracle import (
     sequence_dp,
 )
 from .walks import (
-    ParseError,
     canonicalize_type,
     parse_walk,
     step_alphabet,
@@ -72,7 +72,7 @@ def _cmd_count(args) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
     if args.method == "formula":
-        value = general_count(walk_type, args.n)
+        value = general_count(walk_type, args.n, _limits(args))
     elif args.method == "brute":
         value = len(enumerate_walks(walk_type, args.n, _limits(args)))
     else:
@@ -85,7 +85,8 @@ def _cmd_sequence(args) -> int:
     walk_type = _walk_type(args)
     if args.max_n < 0:
         raise CliError("--max-n must be >= 0")
-    values = sequence_dp(walk_type, args.max_n, _limits(args))
+    route = general_sequence if args.method == "formula" else sequence_dp
+    values = route(walk_type, args.max_n, _limits(args))
     for n, value in enumerate(values):
         if args.format == "bfile":
             print(f"{n} {value}")
@@ -205,6 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     sequence.add_argument(
         "--format", choices=("plain", "bfile", "json"), default="plain"
     )
+    sequence.add_argument(
+        "--method",
+        choices=("dp", "formula"),
+        default="dp",
+        help="counting route (default: dp)",
+    )
     sequence.set_defaults(func=_cmd_sequence)
 
     enumerate_cmd = sub.add_parser("enumerate", help="list valid walks of one length")
@@ -247,17 +254,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, GuardExceeded, ValueError, RecursionError, MemoryError) as exc:
+        # ParseError is a ValueError; MemoryError usually carries no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

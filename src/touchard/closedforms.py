@@ -1,21 +1,36 @@
 """Summation formulas and closed forms for walk counts.
 
 The master summation distributes n steps among the constrained
-dimensions and the pool of r unrestricted directions:
+dimensions and the pool of r unrestricted directions.  Each dimension
+contributes an exponential generating function (EGF) whose k-th term
+counts its walks of k steps:
 
-    count(type, n) = sum over step allocations of
-        r^(n - m)
-        * prod catalan(i)                 for excursion dims taking 2i steps
-        * prod binomial(2i, i)            for bridge dims taking 2i steps
-        * prod binomial(j, floor(j/2))    for meander dims taking j steps
-        * multinomial(n; all allocations, n - m)
+    excursion   catalan(k/2) for even k, 0 for odd k
+    bridge      binomial(k, k/2) for even k, 0 for odd k
+    meander     binomial(k, floor(k/2))
+    r free      r^k, the EGF e^{r x}
 
-with m the steps consumed by constrained dimensions.  When r = 0 only
-allocations with m = n contribute (0^0 = 1 handles that rule below).
+and a walk of the type interleaves one walk per factor, so
+
+    count(type, n) = n! [x^n] e^{r x} * prod over constrained dims F_kind(x).
+
+A product of EGFs is a binomial convolution of their term tables,
+(a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  general_count builds each
+table up to n by rolling ratios, convolves all but the last factor in
+full up to n against one Pascal row per m, and evaluates the last
+convolution at index n only, with e^{r x} as the last factor when r > 0
+(by Horner's rule in r).  With s factors that is
+(s - 2) * (n+1)(n+2)/2 + (n + 1) index pairs, where a sum over step
+allocations visits C(n + d, d) allocations for d constrained dimensions.
+general_sequence runs the last convolution in full too and returns every
+count 0..n.  When r = 0 the identity factor e^{0 x} is left out instead
+of convolved.
 """
 
 from fractions import Fraction
 
+# All five names stay module attributes, central_binomial_even included,
+# because touchbench/tracer.py wraps them here by name.
 from .exactmath import (
     binomial,
     catalan,
@@ -23,6 +38,7 @@ from .exactmath import (
     central_binomial_even,
     multinomial,
 )
+from .oracle import DEFAULT_LIMITS, GuardExceeded, ResourceLimits
 from .walks import DimKind, WalkType
 
 
@@ -40,38 +56,135 @@ def touchard_terms(n: int) -> list:
     ]
 
 
-def general_count(walk_type: WalkType, n: int) -> int:
-    """Evaluate the master summation for any type with up to 4 dimensions."""
-    if n < 0:
-        raise ValueError(f"general_count requires n >= 0, got {n}")
-    kinds = walk_type.constrained_kinds
+def _term_table(kind: DimKind, n: int) -> list:
+    """Terms 0..n of one dimension's EGF, built by rolling ratios."""
+    table = [0] * (n + 1)
+    value = 1
+    if kind is DimKind.MEANDER:
+        for k in range(n + 1):
+            table[k] = value
+            # binomial(k+1, floor((k+1)/2)) from binomial(k, floor(k/2))
+            value = value * (k + 1) // (k // 2 + 1) if k % 2 == 0 else 2 * value
+    else:
+        # catalan(i+1) = catalan(i) * 2(2i+1) / (i+2);
+        # binomial(2i+2, i+1) = binomial(2i, i) * 2(2i+1) / (i+1)
+        shift = 2 if kind is DimKind.EXCURSION else 1
+        for i in range(n // 2 + 1):
+            table[2 * i] = value
+            value = value * 2 * (2 * i + 1) // (i + shift)
+    return table
+
+
+def _factors(walk_type: WalkType, n: int, full_last: bool) -> list:
+    """(term table, even_only) per EGF factor, even-only factors first.
+
+    The r free directions add the factor e^{r x} only when full_last:
+    general_count folds it into its last convolution instead.
+    """
+    tables = {}
+    factors = []
+    for kind in walk_type.constrained_kinds:  # sorted by letter: a, b before c
+        if kind not in tables:
+            tables[kind] = _term_table(kind, n)
+        factors.append((tables[kind], kind.returns_to_zero))
     r = walk_type.free_direction_count
+    if r and full_last:
+        factors.append(([r**k for k in range(n + 1)], False))
+    return factors
+
+
+def _formula_terms(factor_count: int, n: int, full_last: bool) -> int:
+    """Index pairs (m, k) the convolutions visit, zero odd terms included."""
+    if factor_count < 2:
+        return 0
+    if full_last:
+        return (factor_count - 1) * (n + 1) * (n + 2) // 2
+    return (factor_count - 2) * (n + 1) * (n + 2) // 2 + n + 1
+
+
+def _checked_factors(walk_type: WalkType, n: int, full_last: bool, limits, what: str) -> list:
+    """_factors(walk_type, n, full_last), after the n >= 0 check and the term guard."""
+    if n < 0:
+        raise ValueError(f"{what} requires n >= 0, got {n}")
+    limits = limits or DEFAULT_LIMITS
+    factor_count = len(walk_type.constrained_kinds) + (walk_type.free_direction_count > 0)
+    terms = _formula_terms(factor_count, n, full_last)
+    if terms > limits.max_formula_terms:
+        raise GuardExceeded(
+            f"the master summation for type {walk_type} up to n = {n} needs "
+            f"{terms} convolution terms, over the guard of {limits.max_formula_terms}"
+        )
+    return _factors(walk_type, n, full_last)
+
+
+def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int:
+    """sum_k binomial(m, k) a_k b_(m-k), skipping the zero odd terms.
+
+    Factors come even-only first, so b_even implies a_even.
+    """
+    if b_even and m % 2:
+        return 0
+    if a_even:
+        row, a, b = row[: m + 1 : 2], a[: m + 1 : 2], b[m::-2]
+    else:
+        row, a, b = row[: m + 1], a[: m + 1], b[m::-1]
+    return sum(map(int.__mul__, map(int.__mul__, row, a), b))
+
+
+def _full_product(factors: list, n: int) -> list:
+    """Terms 0..n of the product of the factors.
+
+    One pass over m serves every convolution: each prefix product needs
+    only lower indices of the one before it, so all share one Pascal row.
+    """
+    if len(factors) == 1:
+        return factors[0][0]
+    prefixes = [factors[0][0]] + [[0] * (n + 1) for _ in factors[1:]]
+    evens = [factors[0][1]]
+    for _, even in factors[1:]:
+        evens.append(evens[-1] and even)
+    row = [1]
+    for m in range(n + 1):
+        if m:
+            row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+        for j, (table, even) in enumerate(factors[1:]):
+            prefixes[j + 1][m] = _dot(row, prefixes[j], evens[j], table, even, m)
+    return prefixes[-1]
+
+
+def general_count(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:
+    """Evaluate the master summation for any type with up to 4 dimensions.
+
+    Raises GuardExceeded, before any work, when the convolution needs
+    more than limits.max_formula_terms terms.
+    """
+    factors = _checked_factors(walk_type, n, False, limits, "general_count")
+    r = walk_type.free_direction_count
+    if not factors:
+        return r**n
+    if not r:
+        # The last constrained factor takes the place of e^{r x}.
+        *factors, (last, _) = factors
+        if not factors:
+            return last[n]
+    series = _full_product(factors, n)
+    # The last convolution at index n alone, with binomial(n, k) rolled along k.
+    # With r > 0 it is sum_k binomial(n, k) series_k r^(n-k), by Horner's rule.
     total = 0
-    parts = []
-
-    def rec(idx: int, used: int, factor: int) -> None:
-        nonlocal total
-        if idx == len(kinds):
-            u = n - used
-            weight = factor * r**u  # 0**0 == 1 resolves the r = 0 rule
-            if weight:
-                total += weight * multinomial(n, parts + [u])
-            return
-        kind = kinds[idx]
-        if kind is DimKind.MEANDER:
-            for j in range(n - used + 1):
-                parts.append(j)
-                rec(idx + 1, used + j, factor * central_binomial_any(j))
-                parts.pop()
-        else:
-            per_pair = catalan if kind is DimKind.EXCURSION else central_binomial_even
-            for i in range((n - used) // 2 + 1):
-                parts.append(2 * i)
-                rec(idx + 1, used + 2 * i, factor * per_pair(i))
-                parts.pop()
-
-    rec(0, 0, 1)
+    c = 1
+    for k in range(n + 1):
+        if r:
+            total = total * r + c * series[k]
+        elif series[k]:
+            total += c * series[k] * last[n - k]
+        c = c * (n - k) // (k + 1)
     return total
+
+
+def general_sequence(walk_type: WalkType, n_max: int, limits: ResourceLimits | None = None) -> list:
+    """Master-summation counts for every length 0..n_max, from one convolution."""
+    factors = _checked_factors(walk_type, n_max, True, limits, "general_sequence")
+    return _full_product(factors, n_max)
 
 
 def _require_even(n: int, what: str) -> None:

@@ -2,10 +2,11 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from touchard import catalog
+from touchard import catalog, cli
 from touchard.cli import main
 
 from goldens import DEMO_DYCK, DEMO_WALK
@@ -283,3 +284,34 @@ def test_repeated_runs_byte_identical(capsys):
         )
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_count_formula_guard_exits_1_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "count", "--method", "formula", "--type", "cccc", "--n", "100000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "bfile", "json"])
+def test_sequence_formula_matches_dp_bytes(capsys, fmt):
+    args = ("sequence", "--type", "ae", "--max-n", "6", "--format", fmt)
+    dp = run_cli(capsys, *args)
+    assert run_cli(capsys, *args, "--method", "dp") == dp
+    assert run_cli(capsys, *args, "--method", "formula") == dp
+    assert dp[0] == 0 and dp[1]
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_deep_failures_become_error_lines(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli, "count_dp", fail)
+    code, out, err = run_cli(capsys, "count", "--type", "ae", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: {error.__name__}\n"

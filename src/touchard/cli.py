@@ -72,7 +72,7 @@ def _cmd_count(args) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
     if args.method == "formula":
-        value = general_count(walk_type, args.n, _limits(args))
+        value = general_count(walk_type, args.n)
     elif args.method == "brute":
         value = len(enumerate_walks(walk_type, args.n, _limits(args)))
     else:
@@ -85,8 +85,10 @@ def _cmd_sequence(args) -> int:
     walk_type = _walk_type(args)
     if args.max_n < 0:
         raise CliError("--max-n must be >= 0")
-    route = general_sequence if args.method == "formula" else sequence_dp
-    values = route(walk_type, args.max_n, _limits(args))
+    if args.method == "formula":
+        values = general_sequence(walk_type, args.max_n)
+    else:
+        values = sequence_dp(walk_type, args.max_n, _limits(args))
     for n, value in enumerate(values):
         if args.format == "bfile":
             print(f"{n} {value}")

@@ -15,19 +15,26 @@ and a walk of the type interleaves one walk per factor, so
     count(type, n) = n! [x^n] e^{r x} * prod over constrained dims F_kind(x).
 
 A product of EGFs is a binomial convolution of their term tables,
-(a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  general_count builds each
-table up to n by rolling ratios, convolves all but the last factor in
-full up to n against one Pascal row per m, and evaluates the last
-convolution at index n only, with e^{r x} as the last factor when r > 0
-(by Horner's rule in r).  With s factors that is
-(s - 2) * (n+1)(n+2)/2 + (n + 1) index pairs, where a sum over step
-allocations visits C(n + d, d) allocations for d constrained dimensions.
-general_sequence runs the last convolution in full too and returns every
-count 0..n.  When r = 0 the identity factor e^{0 x} is left out instead
-of convolved.
+(a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  general_count builds a
+table up to n per distinct constrained kind by rolling ratios.  It takes
+e^{r x} as the last factor when r > 0, and otherwise the last constrained
+dimension; it convolves the other factors in full against one Pascal row
+per m, and evaluates the last convolution at index n only (by Horner's
+rule in r when the last factor is e^{r x}).  With h >= 1 factors before
+the last that is (h - 1) * (n+1)(n+2)/2 + (n + 1) index pairs, where a
+sum over step allocations visits C(n + d, d) allocations for d
+constrained dimensions.  general_sequence runs the last convolution in
+full too and returns every count 0..n.
+
+Every term of length k has O(k) bits, so the tables take O(h n^2) bits
+and an index pair multiplies O(n)-bit numbers.  Both functions estimate
+that work before starting and raise GuardExceeded when it exceeds
+MAX_FORMULA_WORK.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 # All five names stay module attributes, central_binomial_even included,
 # because touchbench/tracer.py wraps them here by name.
@@ -38,8 +45,13 @@ from .exactmath import (
     central_binomial_even,
     multinomial,
 )
-from .oracle import DEFAULT_LIMITS, GuardExceeded, ResourceLimits
+from .oracle import GuardExceeded
 from .walks import DimKind, WalkType
+
+# Budget of the master summation, in bit operations (see _check).  Stored
+# term tables stay within this many bits (512 MiB), and on a 2-core Xeon
+# guest the slowest admitted requests, at the largest n, took about 5 s.
+MAX_FORMULA_WORK = 2**32
 
 
 def touchard_terms(n: int) -> list:
@@ -56,65 +68,53 @@ def touchard_terms(n: int) -> list:
     ]
 
 
-def _term_table(kind: DimKind, n: int) -> list:
-    """Terms 0..n of one dimension's EGF, built by rolling ratios."""
-    table = [0] * (n + 1)
+def _kind_terms(kind: DimKind, n: int):
+    """Terms 0..n of one dimension's EGF, rolled by their ratios."""
     value = 1
     if kind is DimKind.MEANDER:
         for k in range(n + 1):
-            table[k] = value
+            yield value
             # binomial(k+1, floor((k+1)/2)) from binomial(k, floor(k/2))
             value = value * (k + 1) // (k // 2 + 1) if k % 2 == 0 else 2 * value
-    else:
-        # catalan(i+1) = catalan(i) * 2(2i+1) / (i+2);
-        # binomial(2i+2, i+1) = binomial(2i, i) * 2(2i+1) / (i+1)
-        shift = 2 if kind is DimKind.EXCURSION else 1
-        for i in range(n // 2 + 1):
-            table[2 * i] = value
-            value = value * 2 * (2 * i + 1) // (i + shift)
-    return table
+        return
+    # catalan(i+1) = catalan(i) * 2(2i+1) / (i+2);
+    # binomial(2i+2, i+1) = binomial(2i, i) * 2(2i+1) / (i+1)
+    shift = 2 if kind is DimKind.EXCURSION else 1
+    for k in range(n + 1):
+        if k % 2:
+            yield 0
+        else:
+            yield value
+            value = value * 2 * (k + 1) // (k // 2 + shift)
 
 
-def _factors(walk_type: WalkType, n: int, full_last: bool) -> list:
-    """(term table, even_only) per EGF factor, even-only factors first.
+def _check(walk_type: WalkType, n: int, tables: int, pairs: int) -> None:
+    """Raise unless n >= 0 and the estimated work fits MAX_FORMULA_WORK.
 
-    The r free directions add the factor e^{r x} only when full_last:
-    general_count folds it into its last convolution instead.
+    With s step directions a term of length n has at most
+    size = n * log2(s) bits, so a table of terms 0..n holds about
+    (n + 1) * size / 2 bits and takes as many bit operations to roll.  An
+    index pair multiplies numbers of about size bits: size bit operations
+    while interpreter overhead dominates, and size / 2048 times as many
+    above 2048 bits, where the multiplications themselves take over.
     """
-    tables = {}
-    factors = []
-    for kind in walk_type.constrained_kinds:  # sorted by letter: a, b before c
-        if kind not in tables:
-            tables[kind] = _term_table(kind, n)
-        factors.append((tables[kind], kind.returns_to_zero))
-    r = walk_type.free_direction_count
-    if r and full_last:
-        factors.append(([r**k for k in range(n + 1)], False))
-    return factors
-
-
-def _formula_terms(factor_count: int, n: int, full_last: bool) -> int:
-    """Index pairs (m, k) the convolutions visit, zero odd terms included."""
-    if factor_count < 2:
-        return 0
-    if full_last:
-        return (factor_count - 1) * (n + 1) * (n + 2) // 2
-    return (factor_count - 2) * (n + 1) * (n + 2) // 2 + n + 1
-
-
-def _checked_factors(walk_type: WalkType, n: int, full_last: bool, limits, what: str) -> list:
-    """_factors(walk_type, n, full_last), after the n >= 0 check and the term guard."""
     if n < 0:
-        raise ValueError(f"{what} requires n >= 0, got {n}")
-    limits = limits or DEFAULT_LIMITS
-    factor_count = len(walk_type.constrained_kinds) + (walk_type.free_direction_count > 0)
-    terms = _formula_terms(factor_count, n, full_last)
-    if terms > limits.max_formula_terms:
+        raise ValueError(f"the master summation requires n >= 0, got {n}")
+    steps = 2 * len(walk_type.constrained_kinds) + walk_type.free_direction_count
+    size = (n + 1) * max(1, (steps - 1).bit_length())
+    work = tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048)
+    if work > MAX_FORMULA_WORK:
         raise GuardExceeded(
-            f"the master summation for type {walk_type} up to n = {n} needs "
-            f"{terms} convolution terms, over the guard of {limits.max_formula_terms}"
+            f"the master summation for type {walk_type} up to n = {n} needs about "
+            f"2^{work.bit_length() - 1} bit operations, over the guard of "
+            f"2^{MAX_FORMULA_WORK.bit_length() - 1}"
         )
-    return _factors(walk_type, n, full_last)
+
+
+def _factors(kinds: list, n: int) -> list:
+    """(term table, even_only) per dimension; one table per distinct kind."""
+    tables = {kind: list(_kind_terms(kind, n)) for kind in set(kinds)}
+    return [(tables[kind], kind.returns_to_zero) for kind in kinds]
 
 
 def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int:
@@ -132,11 +132,13 @@ def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int
 
 
 def _full_product(factors: list, n: int) -> list:
-    """Terms 0..n of the product of the factors.
+    """Terms 0..n of the product of the factors; the identity when there are none.
 
     One pass over m serves every convolution: each prefix product needs
     only lower indices of the one before it, so all share one Pascal row.
     """
+    if not factors:
+        return [1] + [0] * n
     if len(factors) == 1:
         return factors[0][0]
     prefixes = [factors[0][0]] + [[0] * (n + 1) for _ in factors[1:]]
@@ -152,22 +154,25 @@ def _full_product(factors: list, n: int) -> list:
     return prefixes[-1]
 
 
-def general_count(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:
+def _pairs(factor_count: int, n: int) -> int:
+    """Index pairs of factor_count - 1 convolutions in full up to n."""
+    return max(factor_count - 1, 0) * (n + 1) * (n + 2) // 2
+
+
+def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
-    Raises GuardExceeded, before any work, when the convolution needs
-    more than limits.max_formula_terms terms.
+    Raises GuardExceeded, before any work, when the estimated work
+    exceeds MAX_FORMULA_WORK.
     """
-    factors = _checked_factors(walk_type, n, False, limits, "general_count")
+    kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
-    if not factors:
-        return r**n
-    if not r:
-        # The last constrained factor takes the place of e^{r x}.
-        *factors, (last, _) = factors
-        if not factors:
-            return last[n]
-    series = _full_product(factors, n)
+    # e^{r x} is the last factor when r > 0, and otherwise the last dimension.
+    inner = len(kinds) if r else len(kinds) - 1
+    # One table per dimension at most, plus binomial(n, k) rolled along k.
+    _check(walk_type, n, len(kinds) + 1, _pairs(inner, n) + n + 1)
+    factors = _factors(kinds, n)
+    series = _full_product(factors[:inner], n)
     # The last convolution at index n alone, with binomial(n, k) rolled along k.
     # With r > 0 it is sum_k binomial(n, k) series_k r^(n-k), by Horner's rule.
     total = 0
@@ -176,14 +181,23 @@ def general_count(walk_type: WalkType, n: int, limits: ResourceLimits | None = N
         if r:
             total = total * r + c * series[k]
         elif series[k]:
-            total += c * series[k] * last[n - k]
+            total += c * series[k] * factors[-1][0][n - k]
         c = c * (n - k) // (k + 1)
     return total
 
 
-def general_sequence(walk_type: WalkType, n_max: int, limits: ResourceLimits | None = None) -> list:
-    """Master-summation counts for every length 0..n_max, from one convolution."""
-    factors = _checked_factors(walk_type, n_max, True, limits, "general_sequence")
+def general_sequence(walk_type: WalkType, n_max: int) -> list:
+    """Master-summation counts for every length 0..n_max, from one convolution.
+
+    Raises GuardExceeded like general_count.
+    """
+    kinds = walk_type.constrained_kinds
+    r = walk_type.free_direction_count
+    count = len(kinds) + (r > 0)
+    _check(walk_type, n_max, count, _pairs(count, n_max))
+    factors = _factors(kinds, n_max)
+    if r:
+        factors.append((list(accumulate(repeat(r, n_max), mul, initial=1)), False))
     return _full_product(factors, n_max)
 
 

@@ -18,9 +18,6 @@ class ResourceLimits:
 
     max_brute_candidates: int = 10_000_000
     max_dp_states: int = 100_000_000
-    # Convolution terms of the master summation.  On a 2-core Xeon guest,
-    # 2.25M terms (cccc at n = 1500) took 8 s and the default at most 12 s.
-    max_formula_terms: int = 2_500_000
 
 
 DEFAULT_LIMITS = ResourceLimits()

@@ -286,11 +286,17 @@ def test_repeated_runs_byte_identical(capsys):
     assert len(outputs) == 1
 
 
-def test_count_formula_guard_exits_1_quickly(capsys):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "--method", "formula", "--type", "cccc", "--n", "100000"),
+        ("count", "--method", "formula", "--type", "c", "--n", "10000000"),
+        ("sequence", "--method", "formula", "--type", "e", "--max-n", "10000000"),
+    ],
+)
+def test_formula_guard_exits_1_quickly(capsys, args):
     start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "count", "--method", "formula", "--type", "cccc", "--n", "100000"
-    )
+    code, out, err = run_cli(capsys, *args)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error:")

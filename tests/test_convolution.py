@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from touchard import (
     GuardExceeded,
-    ResourceLimits,
     aa_closed,
     ab_closed,
     binomial,
@@ -16,7 +15,9 @@ from touchard import (
     general_sequence,
     halfplane_closed,
     sequence_dp,
+    verify,
 )
+from touchard import closedforms
 
 from conftest import all_type_strings
 
@@ -69,23 +70,46 @@ def test_quarter_plane_closed_form():
     assert general_count(wt, 300) == _quarter_plane(300)
 
 
-def test_formula_guard_trips_before_work():
-    with pytest.raises(GuardExceeded, match="convolution terms"):
-        general_count(canonicalize_type("cccc"), 100_000)
-    with pytest.raises(GuardExceeded, match="convolution terms"):
-        general_sequence(canonicalize_type("cccc"), 100_000)
+@pytest.mark.parametrize(
+    "route, letters, n",
+    [
+        (general_count, "cccc", 100_000),
+        (general_sequence, "cccc", 100_000),
+        # One or two factors take few index pairs but O(n^2) bits of terms.
+        (general_count, "c", 10**7),
+        (general_count, "aa", 2_000_000),
+        (general_count, "ae", 2_500_000),
+        (general_sequence, "e", 10**7),
+        (general_count, "e", 10**400),
+    ],
+)
+def test_formula_guard_trips_before_work(monkeypatch, route, letters, n):
+    def no_work(*args):
+        raise AssertionError("term tables built before the guard")
+
+    monkeypatch.setattr(closedforms, "_factors", no_work)
+    with pytest.raises(GuardExceeded, match="bit operations"):
+        route(canonicalize_type(letters), n)
 
 
-def test_formula_guard_counts_terms():
-    limits = ResourceLimits(max_formula_terms=21)
+def test_formula_guard_reads_module_budget(monkeypatch):
     cc = canonicalize_type("cc")
-    # One convolution evaluated at index n alone: n + 1 terms.
-    assert general_count(cc, 20, limits) == count_dp(cc, 20)
+    assert general_count(cc, 20) == count_dp(cc, 20)
+    monkeypatch.setattr(closedforms, "MAX_FORMULA_WORK", 1000)
     with pytest.raises(GuardExceeded):
-        general_count(cc, 21, limits)
-    # The same convolution in full: (n + 1)(n + 2) / 2 terms.
-    assert general_sequence(cc, 5, limits) == sequence_dp(cc, 5)
+        general_count(cc, 20)
     with pytest.raises(GuardExceeded):
-        general_sequence(cc, 6, limits)
-    # One factor alone is read off its table and needs no terms.
-    assert general_count(canonicalize_type("c"), 1000, ResourceLimits(max_formula_terms=0)) == binomial(1000, 500)
+        general_sequence(cc, 20)
+    assert general_count(cc, 4) == count_dp(cc, 4)
+    assert general_sequence(cc, 2) == sequence_dp(cc, 2)
+
+
+def test_verify_reports_formula_refusal(monkeypatch):
+    cc = canonicalize_type("cc")
+    monkeypatch.setattr(closedforms, "MAX_FORMULA_WORK", 1000)
+    report = verify(cc, 20)
+    assert len(report.rows) == 21
+    refused = [row.n for row in report.rows if row.formula is None]
+    assert 0 < len(refused) < 21 and refused == list(range(refused[0], 21))
+    assert all(row.status == "agree" for row in report.rows)
+    assert [w for w in report.warnings if w.startswith(f"cc: formula skipped from n={refused[0]}:")]

@@ -15,7 +15,6 @@ from .bijections import (
     parse_dyck,
     to_two_colored_motzkin,
     touchard_to_dyck,
-    walk_tokens,
 )
 from .catalog import (
     RowCheck,

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .oracle import DEFAULT_LIMITS, GuardExceeded, ResourceLimits
-from .walks import Direction, ParseError, Walk, canonicalize_type, validate, walk_text
+from .walks import Direction, ParseError, Walk, canonicalize_type, validate
 
 TYPE_AE = canonicalize_type("ae")
 
@@ -161,8 +161,3 @@ def enumerate_dyck(length: int, limits: ResourceLimits | None = None) -> list:
             if height == 0:
                 paths.append(DyckPath("".join(combo)))
     return paths
-
-
-def walk_tokens(walk: Walk) -> str:
-    """Token string of an ae-walk (helper for display and tests)."""
-    return walk_text(walk, TYPE_AE)

@@ -3,7 +3,9 @@
 These are the ground truth the closed forms are checked against, so the
 two routes share no counting logic: enumeration filters every candidate
 step string, while the DP recurses over (steps remaining, heights of the
-constrained dimensions).
+constrained dimensions).  The DP memo keys on canonical heights: bridge
+heights reflected to |h| and the heights of same-kind dimensions sorted,
+so each orbit of interchangeable heights is one memo state.
 """
 
 import itertools
@@ -14,10 +16,14 @@ from .walks import DimKind, Walk, WalkType, step_alphabet
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Guards against accidentally oversized searches."""
+    """Guards against accidentally oversized searches.
+
+    A DP memo state takes about 200 to 300 bytes (299 B of peak RSS per
+    state for aa at n = 900), so the default DP guard is about 1.5 GiB.
+    """
 
     max_brute_candidates: int = 10_000_000
-    max_dp_states: int = 100_000_000
+    max_dp_states: int = 5_000_000
 
 
 DEFAULT_LIMITS = ResourceLimits()
@@ -90,20 +96,35 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
 
 
 def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits) -> int:
-    """Walk completions of length n starting from the origin."""
+    """Walk completions of length n starting from the origin.
+
+    The memo keys on canonical heights, one state per orbit of the
+    symmetries that preserve the count.  A bridge is symmetric under
+    h -> -h, so its height is stored as |h|; then every constrained
+    height is >= 0 and may step down iff it is > 0, and a bridge at 0
+    steps up in two ways.  Dimensions of the same kind are
+    interchangeable, so the heights within each run of equal kinds
+    (contiguous, as WalkType sorts its dims) are kept in ascending
+    order.  A block of m equal heights in a run expands one move each
+    way, weighted by m: the up move raises the block's last height and
+    the down move lowers its first, which keeps the run sorted.
+    """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
-    nonneg = tuple(kind.stays_nonnegative for kind in kinds)
-    to_zero = tuple(kind.returns_to_zero for kind in kinds)
     span = len(kinds)
+    # The largest height of each run that must end at 0 is its last one.
+    to_zero_tops = tuple(
+        ci
+        for ci, kind in enumerate(kinds)
+        if kind.returns_to_zero and (ci + 1 == span or kinds[ci + 1] is not kind)
+    )
 
     def rec(k: int, heights: tuple) -> int:
-        for ci in range(span):
-            h = heights[ci]
-            # A dimension that must end at 0 is dead once |h| > steps left.
-            if to_zero[ci] and (h if h >= 0 else -h) > k:
+        for ci in to_zero_tops:
+            # A dimension that must end at 0 is dead once its height > steps left.
+            if heights[ci] > k:
                 return 0
         if k == 0:
             return 1
@@ -112,11 +133,19 @@ def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits
         if cached is not None:
             return cached
         total = r * rec(k - 1, heights) if r else 0
-        for ci in range(span):
+        ci = 0
+        while ci < span:
             h = heights[ci]
-            total += rec(k - 1, heights[:ci] + (h + 1,) + heights[ci + 1 :])
-            if h > 0 or not nonneg[ci]:
-                total += rec(k - 1, heights[:ci] + (h - 1,) + heights[ci + 1 :])
+            kind = kinds[ci]
+            end = ci + 1
+            while end < span and heights[end] == h and kinds[end] is kind:
+                end += 1
+            m = end - ci
+            up = rec(k - 1, heights[: end - 1] + (h + 1,) + heights[end:])
+            total += (2 * m if h == 0 and kind is DimKind.BRIDGE else m) * up
+            if h:
+                total += m * rec(k - 1, heights[:ci] + (h - 1,) + heights[ci + 1 :])
+            ci = end
         if len(memo) >= limits.max_dp_states:
             raise GuardExceeded(
                 f"DP for type {walk_type} needs more than "

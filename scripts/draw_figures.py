@@ -12,7 +12,6 @@ import sys
 
 from touchard import (
     TYPE_AE,
-    parse_dyck,
     parse_walk,
     render_dyck_ascii,
     render_dyck_svg,
@@ -47,8 +46,8 @@ def main(argv=None) -> int:
     outputs = {
         "walk.txt": render_walk_ascii(walk, TYPE_AE),
         "walk.svg": render_walk_svg(walk, TYPE_AE),
-        "dyck.txt": render_dyck_ascii(parse_dyck(dyck.word)),
-        "dyck.svg": render_dyck_svg(parse_dyck(dyck.word)),
+        "dyck.txt": render_dyck_ascii(dyck),
+        "dyck.svg": render_dyck_svg(dyck),
     }
     for name, content in outputs.items():
         path = out / name

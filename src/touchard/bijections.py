@@ -15,7 +15,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .oracle import DEFAULT_LIMITS, GuardExceeded, ResourceLimits
+from .oracle import ResourceLimits, check_brute_guard
 from .walks import Direction, ParseError, Walk, canonicalize_type, validate
 
 TYPE_AE = canonicalize_type("ae")
@@ -29,6 +29,28 @@ _PAIR_TO_STEP = {
 _STEP_TO_PAIR = {step: pair for pair, step in _PAIR_TO_STEP.items()}
 
 
+def _scan(word: str) -> tuple:
+    """Running heights of an N/S word and its first defect.
+
+    The defect is None for a Dyck word, and otherwise (offset, reason)
+    for the first letter other than N or S, the first step below height
+    0, or an ending above height 0 (offset len(word)).  The heights stop
+    before the defect.
+    """
+    heights = []
+    height = 0
+    for offset, letter in enumerate(word):
+        if letter not in ("N", "S"):
+            return heights, (offset, f"Dyck words use only N and S, got {letter!r}")
+        height += 1 if letter == "N" else -1
+        if height < 0:
+            return heights, (offset, f"height drops below 0 at position {offset}")
+        heights.append(height)
+    if height:
+        return heights, (len(word), f"word ends at height {height}, not 0")
+    return heights, None
+
+
 @dataclass(frozen=True)
 class DyckPath:
     """A balanced N/S word whose running height never drops below 0."""
@@ -36,30 +58,16 @@ class DyckPath:
     word: str
 
     def __post_init__(self):
-        height = 0
-        for index, letter in enumerate(self.word):
-            if letter == "N":
-                height += 1
-            elif letter == "S":
-                height -= 1
-            else:
-                raise ValueError(f"Dyck words use only N and S, got {letter!r}")
-            if height < 0:
-                raise ValueError(f"height drops below 0 at position {index}")
-        if height != 0:
-            raise ValueError(f"word ends at height {height}, not 0")
+        _, defect = _scan(self.word)
+        if defect is not None:
+            raise ValueError(defect[1])
 
     @property
     def length(self) -> int:
         return len(self.word)
 
     def heights(self) -> list:
-        out = []
-        h = 0
-        for letter in self.word:
-            h += 1 if letter == "N" else -1
-            out.append(h)
-        return out
+        return _scan(self.word)[0]
 
 
 def parse_dyck(text: str) -> DyckPath:
@@ -78,17 +86,16 @@ def parse_dyck(text: str) -> DyckPath:
             raise ParseError(f"unrecognized Dyck letter {ch!r} at offset {i}", i)
         letters.append(upper)
         positions.append(i)
-    height = 0
-    for idx, letter in enumerate(letters):
-        height += 1 if letter == "N" else -1
-        if height < 0:
-            raise ParseError(
-                f"path drops below the baseline at offset {positions[idx]}",
-                positions[idx],
-            )
-    if height != 0:
-        raise ParseError(f"path ends at height {height}, not 0", len(text))
-    return DyckPath("".join(letters))
+    word = "".join(letters)
+    heights, defect = _scan(word)
+    if defect is None:
+        return DyckPath(word)
+    offset = defect[0]
+    if offset == len(word):
+        raise ParseError(f"path ends at height {heights[-1]}, not 0", len(text))
+    raise ParseError(
+        f"path drops below the baseline at offset {positions[offset]}", positions[offset]
+    )
 
 
 def dyck_to_touchard(path: DyckPath) -> Walk:
@@ -102,13 +109,17 @@ def dyck_to_touchard(path: DyckPath) -> Walk:
     return Walk(steps)
 
 
-def touchard_to_dyck(walk: Walk) -> DyckPath:
-    """Map a valid ae-walk of length n to its Dyck path of length 2n + 2."""
+def _require_ae_walk(walk: Walk) -> None:
     violation = validate(walk, TYPE_AE)
     if violation is not None:
         raise ValueError(
             f"not a valid ae-walk: {violation.reason} at step {violation.step_index}"
         )
+
+
+def touchard_to_dyck(walk: Walk) -> DyckPath:
+    """Map a valid ae-walk of length n to its Dyck path of length 2n + 2."""
+    _require_ae_walk(walk)
     pairs = "".join(_STEP_TO_PAIR[step] for step in walk.steps)
     return DyckPath("N" + pairs + "S")
 
@@ -130,11 +141,7 @@ _MOTZKIN_RELABEL = {
 
 def to_two_colored_motzkin(walk: Walk) -> tuple:
     """Relabel a valid ae-walk as a two-coloured Motzkin path."""
-    violation = validate(walk, TYPE_AE)
-    if violation is not None:
-        raise ValueError(
-            f"not a valid ae-walk: {violation.reason} at step {violation.step_index}"
-        )
+    _require_ae_walk(walk)
     return tuple(_MOTZKIN_RELABEL[step] for step in walk.steps)
 
 
@@ -142,22 +149,6 @@ def enumerate_dyck(length: int, limits: ResourceLimits | None = None) -> list:
     """All Dyck paths of the given even length, in lexicographic order (N < S)."""
     if length < 0 or length % 2:
         raise ValueError(f"Dyck paths have even length >= 0, got {length}")
-    limits = limits or DEFAULT_LIMITS
-    candidates = 2**length
-    if candidates > limits.max_brute_candidates:
-        raise GuardExceeded(
-            f"enumerating Dyck paths of length {length} scans 2^{length} = "
-            f"{candidates} candidate words, over the guard of "
-            f"{limits.max_brute_candidates}"
-        )
-    paths = []
-    for combo in itertools.product("NS", repeat=length):
-        height = 0
-        for letter in combo:
-            height += 1 if letter == "N" else -1
-            if height < 0:
-                break
-        else:
-            if height == 0:
-                paths.append(DyckPath("".join(combo)))
-    return paths
+    check_brute_guard(2, length, limits, f"enumerating Dyck paths of length {length}")
+    words = ("".join(combo) for combo in itertools.product("NS", repeat=length))
+    return [DyckPath(word) for word in words if _scan(word)[1] is None]

@@ -177,8 +177,11 @@ def _cmd_render(args) -> int:
             else render.render_walk_ascii(walk, walk_type)
         )
     if args.out:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(output)
+        try:
+            with open(args.out, "w", newline="\n") as handle:
+                handle.write(output)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(output)
     return 0
@@ -252,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact counts may run past the default 4300-digit int-to-str limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -33,23 +33,34 @@ class GuardExceeded(RuntimeError):
     """A requested computation exceeds the configured resource guard."""
 
 
+def check_brute_guard(base: int, n: int, limits: ResourceLimits | None, what: str) -> None:
+    """Refuse a scan of base**n candidate strings of n letters each.
+
+    The scan is refused when the candidate count or n itself exceeds
+    limits.max_brute_candidates.  For base >= 2 the count exceeds the
+    guard once 2**n does, so a long n is refused without taking the
+    power, and the message shows the count in full only for n <= 64.
+    """
+    limit = (limits or DEFAULT_LIMITS).max_brute_candidates
+    if n <= limit and (base == 1 or n < limit.bit_length()) and base**n <= limit:
+        return
+    shown = f" = {base**n}" if n <= 64 else ""
+    raise GuardExceeded(
+        f"{what} scans {base}^{n}{shown} candidate strings of {n} letters, "
+        f"over the guard of {limit}"
+    )
+
+
 def enumerate_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> list:
     """All valid walks of the given length, in lexicographic token order.
 
     Scans every candidate step string, so the candidate count
-    len(alphabet) ** n must stay within limits.max_brute_candidates.
+    len(alphabet) ** n and n must stay within limits.max_brute_candidates.
     """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
-    limits = limits or DEFAULT_LIMITS
     alphabet = sorted(step_alphabet(walk_type))
-    candidates = len(alphabet) ** n
-    if candidates > limits.max_brute_candidates:
-        raise GuardExceeded(
-            f"enumerating type {walk_type} at length {n} scans "
-            f"{len(alphabet)}^{n} = {candidates} candidate strings, "
-            f"over the guard of {limits.max_brute_candidates}"
-        )
+    check_brute_guard(len(alphabet), n, limits, f"enumerating type {walk_type} at length {n}")
     kinds = walk_type.dims
     ndims = len(kinds)
     nonneg = tuple(kind.stays_nonnegative for kind in kinds)

@@ -8,7 +8,7 @@ formatting, no timestamps.
 """
 
 from .bijections import DyckPath
-from .walks import Walk, WalkType, validate
+from .walks import Walk, WalkType, prefix_heights, validate
 
 GRID_UNIT = 40
 MARGIN = 30
@@ -27,15 +27,7 @@ def walk_vertices(walk: Walk, walk_type: WalkType) -> list:
         raise ValueError(
             f"walk is invalid at step {violation.step_index}: {violation.reason}"
         )
-    x = y = 0
-    points = [(0, 0)]
-    for dim, sign in walk.steps:
-        if dim == 0:
-            y += sign
-        else:
-            x += sign
-        points.append((x, y))
-    return points
+    return [(x, y) for y, x in [(0, 0)] + prefix_heights(walk, 2)]
 
 
 def _bounds(points: list) -> tuple:
@@ -89,7 +81,21 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _svg_document(width: int, height: int, body: list) -> str:
+def _svg_picture(points: list, dots: tuple = ()) -> str:
+    """An SVG of arrows along the points over their grid and baseline.
+
+    The dots are lattice points marked with a filled circle.
+    """
+    xmin, xmax, ymin, ymax = _bounds(points)
+    width = (xmax - xmin) * GRID_UNIT + 2 * MARGIN
+    height = (ymax - ymin) * GRID_UNIT + 2 * MARGIN
+
+    def px(x: float) -> float:
+        return MARGIN + (x - xmin) * GRID_UNIT
+
+    def py(y: float) -> float:
+        return MARGIN + (ymax - y) * GRID_UNIT
+
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -100,110 +106,57 @@ def _svg_document(width: int, height: int, body: list) -> str:
         "</marker>",
         "</defs>",
     ]
-    lines.extend(body)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def _grid_and_baseline(xmin, xmax, ymin, ymax, px, py) -> list:
-    body = []
     for x in range(xmin, xmax + 1):
         for y in range(ymin, ymax + 1):
-            body.append(
+            lines.append(
                 f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="1.50" fill="#b9b9b9"/>'
             )
     # Double dashed baseline along height 0.
     for shift in (-2.0, 2.0):
-        body.append(
+        lines.append(
             f'<line x1="{_fmt(px(xmin) - 10)}" y1="{_fmt(py(0) + shift)}" '
             f'x2="{_fmt(px(xmax) + 10)}" y2="{_fmt(py(0) + shift)}" '
             'stroke="#444444" stroke-width="1.20" stroke-dasharray="6 4"/>'
         )
-    return body
-
-
-def _arrow_lines(segments: list, px, py) -> list:
-    """SVG lines for unit segments, offsetting repeated edge traversals."""
+    # Repeated traversals of one unit edge are shifted sideways.
     seen = {}
-    body = []
-    for (x1, y1), (x2, y2) in segments:
+    for (x1, y1), (x2, y2) in zip(points, points[1:]):
         edge = ((x1, y1), (x2, y2)) if (x1, y1) <= (x2, y2) else ((x2, y2), (x1, y1))
         count = seen.get(edge, 0)
         seen[edge] = count + 1
         dx, dy = x2 - x1, y2 - y1
         ox, oy = -dy * EDGE_OFFSET * count, dx * EDGE_OFFSET * count
-        body.append(
+        lines.append(
             f'<line x1="{_fmt(px(x1 + ox))}" y1="{_fmt(py(y1 + oy))}" '
             f'x2="{_fmt(px(x2 + ox))}" y2="{_fmt(py(y2 + oy))}" '
             'stroke="#1f4e9c" stroke-width="2.00" marker-end="url(#arrow)"/>'
         )
-    return body
+    for x, y in dots:
+        lines.append(
+            f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3.00" fill="#1f4e9c"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def render_walk_svg(walk: Walk, walk_type: WalkType) -> str:
-    points = walk_vertices(walk, walk_type)
-    xmin, xmax, ymin, ymax = _bounds(points)
-    width = (xmax - xmin) * GRID_UNIT + 2 * MARGIN
-    height = (ymax - ymin) * GRID_UNIT + 2 * MARGIN
-
-    def px(x: float) -> float:
-        return MARGIN + (x - xmin) * GRID_UNIT
-
-    def py(y: float) -> float:
-        return MARGIN + (ymax - y) * GRID_UNIT
-
-    body = _grid_and_baseline(xmin, xmax, ymin, ymax, px, py)
-    body.extend(_arrow_lines(list(zip(points, points[1:])), px, py))
-    body.append(
-        f'<circle cx="{_fmt(px(0))}" cy="{_fmt(py(0))}" r="3.00" fill="#1f4e9c"/>'
-    )
-    return _svg_document(width, height, body)
-
-
-def _dyck_points(path: DyckPath) -> list:
-    points = [(0, 0)]
-    height = 0
-    for index, letter in enumerate(path.word):
-        height += 1 if letter == "N" else -1
-        points.append((index + 1, height))
-    return points
+    return _svg_picture(walk_vertices(walk, walk_type), dots=((0, 0),))
 
 
 def render_dyck_ascii(path: DyckPath) -> str:
     if path.length == 0:
         return "(empty path)\n"
-    heights = path.heights()
-    top = max(heights)
+    heights = [0] + path.heights()
     rows = []
-    for level in range(top, 0, -1):
-        row = []
-        h = 0
-        for letter in path.word:
-            nxt = h + (1 if letter == "N" else -1)
-            if letter == "N" and nxt == level:
-                row.append("/")
-            elif letter == "S" and h == level:
-                row.append("\\")
-            else:
-                row.append(" ")
-            h = nxt
-        rows.append("".join(row).rstrip())
+    for level in range(max(heights), 0, -1):
+        # A step between heights level - 1 and level draws on this row.
+        row = ""
+        for start, end in zip(heights, heights[1:]):
+            row += ("/" if end > start else "\\") if max(start, end) == level else " "
+        rows.append(row.rstrip())
     rows.append("-" * path.length)
     return "\n".join(rows) + "\n"
 
 
 def render_dyck_svg(path: DyckPath) -> str:
-    points = _dyck_points(path)
-    xmin, xmax, ymin, ymax = _bounds(points)
-    width = (xmax - xmin) * GRID_UNIT + 2 * MARGIN
-    height = (ymax - ymin) * GRID_UNIT + 2 * MARGIN
-
-    def px(x: float) -> float:
-        return MARGIN + (x - xmin) * GRID_UNIT
-
-    def py(y: float) -> float:
-        return MARGIN + (ymax - y) * GRID_UNIT
-
-    body = _grid_and_baseline(xmin, xmax, ymin, ymax, px, py)
-    body.extend(_arrow_lines(list(zip(points, points[1:])), px, py))
-    return _svg_document(width, height, body)
+    return _svg_picture(list(enumerate([0] + path.heights())))

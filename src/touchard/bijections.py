@@ -13,10 +13,9 @@ flat colours exhibits the same objects as two-coloured Motzkin paths.
 
 import enum
 import itertools
-from dataclasses import dataclass
 
 from .oracle import ResourceLimits, check_brute_guard
-from .walks import Direction, ParseError, Walk, canonicalize_type, validate
+from .walks import Direction, ParseError, Walk, _Record, canonicalize_type, validate
 
 TYPE_AE = canonicalize_type("ae")
 
@@ -51,16 +50,16 @@ def _scan(word: str) -> tuple:
     return heights, None
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Record):
     """A balanced N/S word whose running height never drops below 0."""
 
-    word: str
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        _, defect = _scan(self.word)
+    def __init__(self, word: str):
+        _, defect = _scan(word)
         if defect is not None:
             raise ValueError(defect[1])
+        object.__setattr__(self, "word", word)
 
     @property
     def length(self) -> int:
@@ -71,7 +70,7 @@ class DyckPath:
 
 
 def parse_dyck(text: str) -> DyckPath:
-    """Parse a Dyck word, ignoring case and whitespace.
+    """Parse a Dyck word, ignoring ASCII case and whitespace.
 
     Errors carry the offset of the offending character in the original
     text (or len(text) for an unbalanced ending).
@@ -81,7 +80,7 @@ def parse_dyck(text: str) -> DyckPath:
     for i, ch in enumerate(text):
         if ch.isspace():
             continue
-        upper = ch.upper()
+        upper = ch.upper() if ch.isascii() else ch
         if upper not in "NS":
             raise ParseError(f"unrecognized Dyck letter {ch!r} at offset {i}", i)
         letters.append(upper)

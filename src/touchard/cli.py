@@ -7,11 +7,13 @@ golden mismatch.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from . import catalog, render
+# catalog, render and json load inside the subcommands that use them, so
+# that the other subcommands start without them.  Every name bound below
+# stays a module attribute that callers may wrap (touchbench/tracer.py
+# does, step_alphabet included).
 from .bijections import dyck_to_touchard, parse_dyck, touchard_to_dyck, TYPE_AE
 from .closedforms import general_count, general_sequence
 from .oracle import (
@@ -23,6 +25,7 @@ from .oracle import (
     sequence_dp,
 )
 from .walks import (
+    _step_tokens,
     canonicalize_type,
     parse_walk,
     step_alphabet,
@@ -89,6 +92,8 @@ def _cmd_sequence(args) -> int:
         values = general_sequence(walk_type, args.max_n)
     else:
         values = sequence_dp(walk_type, args.max_n, _limits(args))
+    if args.format == "json":
+        import json
     for n, value in enumerate(values):
         if args.format == "bfile":
             print(f"{n} {value}")
@@ -121,7 +126,7 @@ def _cmd_validate(args) -> int:
         print("valid")
         return 0
     print(f"invalid at step {violation.step_index}: {violation.reason}")
-    inverse = {direction: token for token, direction in step_alphabet(walk_type)}
+    inverse = _step_tokens(walk_type)
     tokens = [inverse[step] for step in walk.steps]
     # A nonzero-final-height violation has step_index == n, so no token
     # gets marked; the reason line already names the dimension.
@@ -146,6 +151,8 @@ def _cmd_dyck(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import catalog
+
     limits = _limits(args)
     if args.table3:
         report = catalog.verify_table3(args.n_max, limits)
@@ -159,6 +166,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+
     if args.dyck:
         path = parse_dyck(args.text)
         output = (

@@ -32,7 +32,6 @@ that work before starting and raise GuardExceeded when it exceeds
 MAX_FORMULA_WORK.
 """
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -280,6 +279,8 @@ def vandermonde_chain(n: int) -> list:
     evaluated in exact rational arithmetic and integrality of the total is
     asserted before returning.
     """
+    from fractions import Fraction  # loaded here so that importing the module stays cheap
+
     _require_even(n, "vandermonde_chain")
     h = n // 2
     rng = range(h + 1)

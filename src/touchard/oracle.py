@@ -9,13 +9,12 @@ so each orbit of interchangeable heights is one memo state.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .walks import DimKind, Walk, WalkType, step_alphabet
 
 
-@dataclass(frozen=True)
-class ResourceLimits:
+class ResourceLimits(NamedTuple):
     """Guards against accidentally oversized searches.
 
     A DP memo state takes about 200 to 300 bytes (299 B of peak RSS per

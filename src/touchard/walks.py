@@ -16,7 +16,7 @@ unrestricted directions.
 """
 
 import enum
-from dataclasses import dataclass
+import functools
 from typing import NamedTuple
 
 MAX_DIMS = 4
@@ -53,18 +53,48 @@ class DimKind(enum.Enum):
 _BY_LETTER = {kind.value: kind for kind in DimKind}
 
 
-@dataclass(frozen=True)
-class WalkType:
+class _Record:
+    """Immutable value record over its __slots__: equality, hash and repr.
+
+    Lighter to import and define than a frozen dataclass; subclasses set
+    their fields in __init__ through object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class WalkType(_Record):
     """An ordered bundle of per-dimension constraint kinds.
 
     Construction canonicalizes the dimension order by letter, so
     WalkType for "ea" compares equal to the one for "ae".
     """
 
-    dims: tuple
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        dims = tuple(sorted(self.dims, key=lambda k: k.value))
+    def __init__(self, dims: tuple):
+        dims = tuple(sorted(dims, key=lambda k: k.value))
         if not 1 <= len(dims) <= MAX_DIMS:
             raise ValueError(
                 f"walk types need between 1 and {MAX_DIMS} dimensions, got {len(dims)}"
@@ -107,8 +137,7 @@ class Direction(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """A finite sequence of unit steps; empty walks are allowed."""
 
     steps: tuple
@@ -134,6 +163,12 @@ def step_alphabet(walk_type: WalkType) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=128)  # one entry per walk type; there are 125
+def _step_tokens(walk_type: WalkType) -> dict:
+    """Direction -> token map of a type's step alphabet; callers must not mutate it."""
+    return {direction: token for token, direction in step_alphabet(walk_type)}
+
+
 class ParseError(ValueError):
     """Raised on unparseable walk text; carries the offending offset."""
 
@@ -145,7 +180,8 @@ class ParseError(ValueError):
 def parse_walk(text: str, walk_type: WalkType) -> Walk:
     """Parse step tokens into a Walk.
 
-    Tokens are matched case-insensitively and whitespace between tokens
+    Tokens are matched case-insensitively (ASCII letters only, so no
+    other character folds into a token) and whitespace between tokens
     is ignored.  The first unrecognized token raises ParseError with its
     offset into the original text.
     """
@@ -157,7 +193,10 @@ def parse_walk(text: str, walk_type: WalkType) -> Walk:
         if ch.isspace():
             i += 1
             continue
-        token = text[i : i + 2] if ch in "+-" else ch.upper()
+        if ch in "+-":
+            token = text[i : i + 2]
+        else:
+            token = ch.upper() if ch.isascii() else ch
         direction = token_map.get(token)
         if direction is None:
             raise ParseError(
@@ -171,12 +210,11 @@ def parse_walk(text: str, walk_type: WalkType) -> Walk:
 
 def walk_text(walk: Walk, walk_type: WalkType) -> str:
     """Render a walk back to its token string."""
-    tokens = {direction: token for token, direction in step_alphabet(walk_type)}
-    return "".join(tokens[step] for step in walk.steps)
+    tokens = _step_tokens(walk_type)
+    return "".join([tokens[step] for step in walk.steps])
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First constraint failure of a walk: where, which axis, and why."""
 
     step_index: int

@@ -15,6 +15,7 @@ documented defects in the published tables, NOTE lines:
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .closedforms import (
@@ -22,6 +23,7 @@ from .closedforms import (
     ab_closed,
     ace3d_count,
     general_count,
+    general_sequence,
     halfplane_closed,
     quadrant_axis_sum,
 )
@@ -72,7 +74,15 @@ TABLE3_TERM_TRANSPOSITIONS = {"bdd": "bde", "bde": "bdd"}
 
 
 def golden_table3() -> list:
-    """The 25 golden records, terms exactly as printed in the source table."""
+    """The 25 golden records, terms exactly as printed in the source table.
+
+    Returns a new list on each call; the file is parsed once per process.
+    """
+    return list(_golden_records())
+
+
+@cache
+def _golden_records() -> tuple:
     text = resources.files(__package__).joinpath("data/table3.txt").read_text()
     records = []
     for line in text.splitlines():
@@ -90,7 +100,7 @@ def golden_table3() -> list:
                 absolute_values_note=letters in _TABLE3_ABS,
             )
         )
-    return records
+    return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -220,6 +230,22 @@ def _merge(target: VerificationReport, other: VerificationReport) -> None:
     target.warnings.extend(other.warnings)
 
 
+def _formula_prefix(walk_type: WalkType, n_max: int) -> tuple:
+    """Master-summation counts for the longest admitted prefix of 0..n_max.
+
+    Tries n_max, n_max // 2, ..., 0 and returns (counts, refusal), where
+    refusal is the guard's refusal of the whole row, or None.  The guard
+    trips before any table is built, so a refusal costs nothing.
+    """
+    refusal = None
+    for n in (n_max >> k for k in range(n_max.bit_length() + 1)):
+        try:
+            return general_sequence(walk_type, n), refusal
+        except GuardExceeded as exc:
+            refusal = refusal or exc
+    return [], refusal
+
+
 def verify(
     walk_type: WalkType,
     n_max: int,
@@ -229,10 +255,13 @@ def verify(
     """Cross-check one type for n = 0..n_max.
 
     Compares the DP oracle, the master summation, the named closed form
-    (if any) and the golden terms (if the type has a golden row).  For
-    the two transposed golden rows the adjudicated expectation is the
-    partner row's digits; the verbatim digits still appear in the golden
-    column and the row is flagged "erratum" with an explanatory NOTE.
+    (if any) and the golden terms (if the type has a golden row).  Each
+    column comes from one call per row.  The closed form is evaluated
+    only where the oracle column exists, so the DP guard bounds it too.
+    For the two transposed golden rows the adjudicated expectation is
+    the partner row's digits; the verbatim digits still appear in the
+    golden column and the row is flagged "erratum" with an explanatory
+    NOTE.  Lengths that no column fills are omitted with a WARN.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -240,44 +269,35 @@ def verify(
     by_letters = {record.walk_type.letters: record for record in records}
     letters = walk_type.letters
     record = by_letters.get(letters)
+    golden = record.terms if record is not None else ()
+    expected = golden
     partner_letters = TABLE3_TERM_TRANSPOSITIONS.get(letters)
-    partner_terms = None
-    if record is not None and partner_letters is not None:
-        partner = by_letters.get(partner_letters)
-        partner_terms = partner.terms if partner is not None else None
+    if record is not None and partner_letters in by_letters:
+        expected = by_letters[partner_letters].terms
 
     report = VerificationReport()
-    closed = named_closed_form(walk_type)
-
-    oracle_values = None
-    oracle_error = None
+    oracle = []
     try:
-        oracle_values = sequence_dp(walk_type, n_max, limits)
+        oracle = sequence_dp(walk_type, n_max, limits)
     except GuardExceeded as exc:
-        oracle_error = str(exc)
-        report.warnings.append(f"{letters}: oracle skipped: {oracle_error}")
+        report.warnings.append(f"{letters}: oracle skipped: {exc}")
+    formula, refusal = _formula_prefix(walk_type, n_max)
+    if refusal is not None:
+        report.warnings.append(f"{letters}: formula skipped from n={len(formula)}: {refusal}")
+    closed_form = named_closed_form(walk_type)
+    closed = [closed_form[1](n) for n in range(n_max + 1)] if closed_form and oracle else []
+    filled = min(n_max + 1, max(len(oracle), len(formula), len(golden)))
+    if filled <= n_max:
+        report.warnings.append(f"{letters}: rows n={filled}..{n_max} omitted: no column fills them")
+
+    def cell(column, n):
+        return column[n] if n < len(column) else None
 
     erratum_seen = False
-    formula_refused = False
-    for n in range(n_max + 1):
-        oracle_value = None if oracle_values is None else oracle_values[n]
-        formula_value = None
-        if not formula_refused:
-            # The guard only grows with n, so one refusal covers the rest.
-            try:
-                formula_value = general_count(walk_type, n)
-            except GuardExceeded as exc:
-                formula_refused = True
-                report.warnings.append(f"{letters}: formula skipped from n={n}: {exc}")
-        closed_value = None if closed is None else closed[1](n)
-        golden_value = None
-        if record is not None and n < len(record.terms):
-            golden_value = record.terms[n]
-        if partner_terms is not None:
-            expected_golden = partner_terms[n] if n < len(partner_terms) else None
-        else:
-            expected_golden = golden_value
-
+    for n in range(filled):
+        oracle_value, formula_value, closed_value, golden_value, expected_golden = (
+            cell(column, n) for column in (oracle, formula, closed, golden, expected)
+        )
         comparable = [
             value
             for value in (oracle_value, formula_value, closed_value, expected_golden)

@@ -5,7 +5,11 @@ two routes share no counting logic: enumeration filters every candidate
 step string, while the DP recurses over (steps remaining, heights of the
 constrained dimensions).  The DP memo keys on canonical heights: bridge
 heights reflected to |h| and the heights of same-kind dimensions sorted,
-so each orbit of interchangeable heights is one memo state.
+so each orbit of interchangeable heights is one memo state.  The DP prunes
+dead states by reachability alone: a state is dead when the returning
+heights (excursions and bridges) sum to more than the steps left, and,
+for a type with no free direction and no meander, when the steps left and
+that sum differ in parity.  Dead states count 0 and are never memoized.
 """
 
 import itertools
@@ -96,7 +100,9 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
 
     The memo is keyed on (steps remaining, heights), which is
     independent of the total length, so longer prefixes reuse shorter
-    ones' completion counts.
+    ones' completion counts.  Dead states are pruned as in _completions;
+    for a parity-locked type (only excursions and bridges) every odd
+    length counts 0 and adds no memo state.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -118,43 +124,51 @@ def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits
     order.  A block of m equal heights in a run expands one move each
     way, weighted by m: the up move raises the block's last height and
     the down move lowers its first, which keeps the run sorted.
+
+    rec carries need, the sum of the returning heights (excursions and
+    bridges, bridges as |h|); each move changes it by +1 or -1, or by 0 on
+    a meander or a free direction.  A returning height h needs at least h
+    steps to reach 0 and one step moves one dimension, so a state with
+    need > k is dead: it counts 0 and is never memoized.  With no free
+    direction and no meander every step moves need by one, so k - need
+    keeps its parity from the root on (the parity lock), and an odd n
+    counts 0 without visiting any state.
     """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
     span = len(kinds)
-    # The largest height of each run that must end at 0 is its last one.
-    to_zero_tops = tuple(
-        ci
-        for ci, kind in enumerate(kinds)
-        if kind.returns_to_zero and (ci + 1 == span or kinds[ci + 1] is not kind)
-    )
+    returns = tuple(int(kind.returns_to_zero) for kind in kinds)
+    # The parity lock: an odd n is dead.
+    if n % 2 and not r and all(returns):
+        return 0
 
-    def rec(k: int, heights: tuple) -> int:
-        for ci in to_zero_tops:
-            # A dimension that must end at 0 is dead once its height > steps left.
-            if heights[ci] > k:
-                return 0
+    def rec(k: int, heights: tuple, need: int) -> int:
+        if need > k:
+            return 0
         if k == 0:
             return 1
         key = (k, heights)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        total = r * rec(k - 1, heights) if r else 0
+        total = r * rec(k - 1, heights, need) if r else 0
         ci = 0
         while ci < span:
             h = heights[ci]
             kind = kinds[ci]
+            ret = returns[ci]
             end = ci + 1
             while end < span and heights[end] == h and kinds[end] is kind:
                 end += 1
             m = end - ci
-            up = rec(k - 1, heights[: end - 1] + (h + 1,) + heights[end:])
+            up = rec(k - 1, heights[: end - 1] + (h + 1,) + heights[end:], need + ret)
             total += (2 * m if h == 0 and kind is DimKind.BRIDGE else m) * up
             if h:
-                total += m * rec(k - 1, heights[:ci] + (h - 1,) + heights[ci + 1 :])
+                total += m * rec(
+                    k - 1, heights[:ci] + (h - 1,) + heights[ci + 1 :], need - ret
+                )
             ci = end
         if len(memo) >= limits.max_dp_states:
             raise GuardExceeded(
@@ -164,4 +178,4 @@ def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits
         memo[key] = total
         return total
 
-    return rec(n, (0,) * span)
+    return rec(n, (0,) * span, 0)

@@ -5,11 +5,15 @@ two routes share no counting logic: enumeration filters every candidate
 step string, while the DP recurses over (steps remaining, heights of the
 constrained dimensions).  The DP memo keys on canonical heights: bridge
 heights reflected to |h| and the heights of same-kind dimensions sorted,
-so each orbit of interchangeable heights is one memo state.  The DP prunes
-dead states by reachability alone: a state is dead when the returning
-heights (excursions and bridges) sum to more than the steps left, and,
-for a type with no free direction and no meander, when the steps left and
-that sum differ in parity.  Dead states count 0 and are never memoized.
+so each orbit of interchangeable heights is one memo state.  Each
+canonical heights tuple is interned once to an integer id in a table
+private to one count_dp or sequence_dp call; the id's moves are built
+once and reused for every steps remaining, and a child's stored count is
+looked up before the recursion calls itself.  The DP prunes dead states
+by reachability alone: a state is dead when the returning heights
+(excursions and bridges) sum to more than the steps left, and, for a type
+with no free direction and no meander, when the steps left and that sum
+differ in parity.  Dead states count 0 and are never memoized.
 """
 
 import itertools
@@ -21,8 +25,10 @@ from .walks import DimKind, Walk, WalkType, step_alphabet
 class ResourceLimits(NamedTuple):
     """Guards against accidentally oversized searches.
 
-    A DP memo state takes about 200 to 300 bytes (299 B of peak RSS per
-    state for aa at n = 900), so the default DP guard is about 1.5 GiB.
+    A DP memo state takes about 130 to 170 bytes of peak RSS (168 B per
+    state for aa at n = 600, 130 B for aaa at n = 160, interned heights
+    and their moves included), so the default DP guard of 5 * 10**6
+    states is about 0.8 GiB.
     """
 
     max_brute_candidates: int = 10_000_000
@@ -90,28 +96,55 @@ def enumerate_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None =
 
 
 def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:
-    """Exact count of valid length-n walks via memoized recursion."""
-    memo = {}
-    return _completions(walk_type, n, memo, limits or DEFAULT_LIMITS)
+    """Exact count of valid length-n walks via memoized recursion.
+
+    The memo is a private table for this call: each canonical heights
+    tuple interned once to an id, its moves built once, and its counts
+    kept per id (see _completions).  The table is freed on return.
+    """
+    return _completions(walk_type, n, _Table(walk_type), limits or DEFAULT_LIMITS)
 
 
 def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None = None) -> list:
     """Counts for every length 0..n_max, sharing one memo table.
 
-    The memo is keyed on (steps remaining, heights), which is
+    A table entry is keyed on (steps remaining, heights id), which is
     independent of the total length, so longer prefixes reuse shorter
-    ones' completion counts.  Dead states are pruned as in _completions;
-    for a parity-locked type (only excursions and bridges) every odd
-    length counts 0 and adds no memo state.
+    ones' completion counts, and every length reuses the moves each
+    interned heights id built once.  Dead states are pruned as in
+    _completions; for a parity-locked type (only excursions and bridges)
+    every odd length counts 0 and adds no memo state.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    memo = {}
+    table = _Table(walk_type)
     limits = limits or DEFAULT_LIMITS
-    return [_completions(walk_type, n, memo, limits) for n in range(n_max + 1)]
+    return [_completions(walk_type, n, table, limits) for n in range(n_max + 1)]
 
 
-def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits) -> int:
+class _Table:
+    """The DP memo of one walk type, shared by every n of one call.
+
+    ids interns each canonical heights tuple to an integer id, and
+    heights[i] is the tuple of id i.  moves[i] is None until id i is first
+    expanded, then a tuple of (weight, child id, change of need, the
+    child's counts) built once for every k.  counts[i] maps the steps
+    remaining k to the completion count of (k, id i); stored is the number
+    of such counts, which the DP guard bounds.  Id 0 is the origin.
+    """
+
+    __slots__ = ("ids", "heights", "moves", "counts", "stored")
+
+    def __init__(self, walk_type: WalkType):
+        origin = (0,) * len(walk_type.constrained_kinds)
+        self.ids = {origin: 0}
+        self.heights = [origin]
+        self.moves = [None]
+        self.counts = [{}]
+        self.stored = 0
+
+
+def _completions(walk_type: WalkType, n: int, table: _Table, limits: ResourceLimits) -> int:
     """Walk completions of length n starting from the origin.
 
     The memo keys on canonical heights, one state per orbit of the
@@ -123,16 +156,28 @@ def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits
     (contiguous, as WalkType sorts its dims) are kept in ascending
     order.  A block of m equal heights in a run expands one move each
     way, weighted by m: the up move raises the block's last height and
-    the down move lowers its first, which keeps the run sorted.
+    the down move lowers its first, which keeps the run sorted.  The r
+    free directions are one move of weight r to the same heights.
+
+    Each canonical heights tuple is interned once to an id of the table,
+    and expand builds an id's moves the first time rec reaches it; every
+    k and every n reuse them.  rec looks each child's count up in the
+    child's dict before it calls itself, so a stored child costs no call.
 
     rec carries need, the sum of the returning heights (excursions and
     bridges, bridges as |h|); each move changes it by +1 or -1, or by 0 on
     a meander or a free direction.  A returning height h needs at least h
     steps to reach 0 and one step moves one dimension, so a state with
-    need > k is dead: it counts 0 and is never memoized.  With no free
-    direction and no meander every step moves need by one, so k - need
-    keeps its parity from the root on (the parity lock), and an odd n
-    counts 0 without visiting any state.
+    need > k is dead: it counts 0, is skipped by its parent and is never
+    memoized.  A child with no step left counts 1 if it is live.  With no
+    free direction and no meander every step moves need by one, so
+    k - need keeps its parity from the root on (the parity lock), and an
+    odd n counts 0 without visiting any state.
+
+    rec refers to itself through its closure cell; the finally clause
+    breaks that cycle, so the table is freed by reference counting as
+    soon as the caller drops it, also when the guard or the recursion
+    limit raises.
     """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
@@ -143,17 +188,15 @@ def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits
     # The parity lock: an odd n is dead.
     if n % 2 and not r and all(returns):
         return 0
+    if n == 0:
+        return 1
+    ids, heights_of, moves, counts = table.ids, table.heights, table.moves, table.counts
+    limit = limits.max_dp_states
+    stored = table.stored
 
-    def rec(k: int, heights: tuple, need: int) -> int:
-        if need > k:
-            return 0
-        if k == 0:
-            return 1
-        key = (k, heights)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = r * rec(k - 1, heights, need) if r else 0
+    def expand(hid: int) -> tuple:
+        heights = heights_of[hid]
+        built = [(r, hid, 0, counts[hid])] if r else []
         ci = 0
         while ci < span:
             h = heights[ci]
@@ -163,19 +206,47 @@ def _completions(walk_type: WalkType, n: int, memo: dict, limits: ResourceLimits
             while end < span and heights[end] == h and kinds[end] is kind:
                 end += 1
             m = end - ci
-            up = rec(k - 1, heights[: end - 1] + (h + 1,) + heights[end:], need + ret)
-            total += (2 * m if h == 0 and kind is DimKind.BRIDGE else m) * up
+            children = [(2 * m if h == 0 and kind is DimKind.BRIDGE else m,
+                         heights[: end - 1] + (h + 1,) + heights[end:], ret)]
             if h:
-                total += m * rec(
-                    k - 1, heights[:ci] + (h - 1,) + heights[ci + 1 :], need - ret
-                )
+                children.append((m, heights[:ci] + (h - 1,) + heights[ci + 1 :], -ret))
+            for weight, child, change in children:
+                cid = ids.get(child)
+                if cid is None:
+                    cid = ids[child] = len(heights_of)
+                    heights_of.append(child)
+                    moves.append(None)
+                    counts.append({})
+                built.append((weight, cid, change, counts[cid]))
             ci = end
-        if len(memo) >= limits.max_dp_states:
+        built = moves[hid] = tuple(built)
+        return built
+
+    def rec(k: int, hid: int, need: int) -> int:
+        nonlocal stored
+        steps = k - 1
+        total = 0
+        for weight, cid, change, child_counts in moves[hid] or expand(hid):
+            child_need = need + change
+            if child_need > steps:
+                continue
+            if not steps:
+                total += weight
+                continue
+            count = child_counts.get(steps)
+            if count is None:
+                count = rec(steps, cid, child_need)
+            total += weight * count
+        if stored >= limit:
             raise GuardExceeded(
-                f"DP for type {walk_type} needs more than "
-                f"{limits.max_dp_states} memo states"
+                f"DP for type {walk_type} needs more than {limit} memo states"
             )
-        memo[key] = total
+        stored += 1
+        counts[hid][k] = total
         return total
 
-    return rec(n, (0,) * span, 0)
+    try:
+        return rec(n, 0, 0)
+    finally:
+        table.stored = stored
+        rec = None

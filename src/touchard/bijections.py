@@ -13,9 +13,10 @@ flat colours exhibits the same objects as two-coloured Motzkin paths.
 
 import enum
 import itertools
+from typing import NamedTuple
 
 from .oracle import ResourceLimits, check_brute_guard
-from .walks import Direction, ParseError, Walk, _Record, canonicalize_type, validate
+from .walks import Direction, ParseError, Walk, canonicalize_type, validate
 
 TYPE_AE = canonicalize_type("ae")
 
@@ -50,16 +51,16 @@ def _scan(word: str) -> tuple:
     return heights, None
 
 
-class DyckPath(_Record):
+class DyckPath(NamedTuple("DyckPath", [("word", str)])):
     """A balanced N/S word whose running height never drops below 0."""
 
-    __slots__ = ("word",)
+    __slots__ = ()
 
-    def __init__(self, word: str):
+    def __new__(cls, word: str):
         _, defect = _scan(word)
         if defect is not None:
             raise ValueError(defect[1])
-        object.__setattr__(self, "word", word)
+        return super().__new__(cls, word)
 
     @property
     def length(self) -> int:

@@ -224,12 +224,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _merge(target: VerificationReport, other: VerificationReport) -> None:
-    target.rows.extend(other.rows)
-    target.notes.extend(other.notes)
-    target.warnings.extend(other.warnings)
-
-
 def _formula_prefix(walk_type: WalkType, n_max: int) -> tuple:
     """Master-summation counts for the longest admitted prefix of 0..n_max.
 
@@ -350,5 +344,8 @@ def verify_table3(
         row_max = len(record.terms) - 1
         if n_max is not None:
             row_max = min(row_max, n_max)
-        _merge(report, verify(record.walk_type, row_max, limits, records))
+        part = verify(record.walk_type, row_max, limits, records)
+        report.rows.extend(part.rows)
+        report.notes.extend(part.notes)
+        report.warnings.extend(part.warnings)
     return report

@@ -63,15 +63,8 @@ def _limits(args) -> ResourceLimits:
     return ResourceLimits(max_brute_candidates=max_brute, max_dp_states=max_states)
 
 
-def _walk_type(args):
-    try:
-        return canonicalize_type(args.type)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def _cmd_count(args) -> int:
-    walk_type = _walk_type(args)
+    walk_type = canonicalize_type(args.type)
     if args.n < 0:
         raise CliError("--n must be >= 0")
     if args.method == "formula":
@@ -85,7 +78,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    walk_type = _walk_type(args)
+    walk_type = canonicalize_type(args.type)
     if args.max_n < 0:
         raise CliError("--max-n must be >= 0")
     if args.method == "formula":
@@ -110,7 +103,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    walk_type = _walk_type(args)
+    walk_type = canonicalize_type(args.type)
     if args.n < 0:
         raise CliError("--n must be >= 0")
     for walk in enumerate_walks(walk_type, args.n, _limits(args)):
@@ -119,7 +112,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    walk_type = _walk_type(args)
+    walk_type = canonicalize_type(args.type)
     walk = parse_walk(args.walk, walk_type)
     violation = validate(walk, walk_type)
     if violation is None:
@@ -160,7 +153,7 @@ def _cmd_verify(args) -> int:
         if not args.type:
             raise CliError("verify needs --table3 or --type")
         n_max = args.n_max if args.n_max is not None else 8
-        report = catalog.verify(_walk_type(args), n_max, limits)
+        report = catalog.verify(canonicalize_type(args.type), n_max, limits)
     print(report.text())
     return 0 if report.ok else 2
 
@@ -178,7 +171,7 @@ def _cmd_render(args) -> int:
     else:
         if not args.type:
             raise CliError("render needs --type or --dyck")
-        walk_type = _walk_type(args)
+        walk_type = canonicalize_type(args.type)
         walk = parse_walk(args.text, walk_type)
         output = (
             render.render_walk_svg(walk, walk_type)

@@ -5,11 +5,13 @@ two routes share no counting logic: enumeration filters every candidate
 step string, while the DP recurses over (steps remaining, heights of the
 constrained dimensions).  The DP memo keys on canonical heights: bridge
 heights reflected to |h| and the heights of same-kind dimensions sorted,
-so each orbit of interchangeable heights is one memo state.  Each
-canonical heights tuple is interned once to an integer id in a table
-private to one count_dp or sequence_dp call; the id's moves are built
-once and reused for every steps remaining, and a child's stored count is
-looked up before the recursion calls itself.  The DP prunes dead states
+so each orbit of interchangeable heights is one memo state.  The memo
+lives in the locals of one _completions call, made by one count_dp or
+sequence_dp call: each canonical heights tuple is interned once to an
+integer id, the id's moves are built once and reused for every steps
+remaining, its counts are kept in one dict per id, and a running total
+of stored counts feeds the guard.  A child's stored count is looked up
+before the recursion calls itself.  The DP prunes dead states
 by reachability alone: a state is dead when the returning heights
 (excursions and bridges) sum to more than the steps left, and, for a type
 with no free direction and no meander, when the steps left and that sum
@@ -98,17 +100,17 @@ def enumerate_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None =
 def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:
     """Exact count of valid length-n walks via memoized recursion.
 
-    The memo is a private table for this call: each canonical heights
-    tuple interned once to an id, its moves built once, and its counts
-    kept per id (see _completions).  The table is freed on return.
+    The memo is local to this call (see _completions) and freed on return.
     """
-    return _completions(walk_type, n, _Table(walk_type), limits or DEFAULT_LIMITS)
+    if n < 0:
+        raise ValueError(f"walk length must be >= 0, got {n}")
+    return _completions(walk_type, (n,), limits or DEFAULT_LIMITS)[0]
 
 
 def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None = None) -> list:
-    """Counts for every length 0..n_max, sharing one memo table.
+    """Counts for every length 0..n_max, sharing one memo.
 
-    A table entry is keyed on (steps remaining, heights id), which is
+    A memo count is keyed on (steps remaining, heights id), which is
     independent of the total length, so longer prefixes reuse shorter
     ones' completion counts, and every length reuses the moves each
     interned heights id built once.  Dead states are pruned as in
@@ -117,35 +119,11 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    table = _Table(walk_type)
-    limits = limits or DEFAULT_LIMITS
-    return [_completions(walk_type, n, table, limits) for n in range(n_max + 1)]
+    return _completions(walk_type, range(n_max + 1), limits or DEFAULT_LIMITS)
 
 
-class _Table:
-    """The DP memo of one walk type, shared by every n of one call.
-
-    ids interns each canonical heights tuple to an integer id, and
-    heights[i] is the tuple of id i.  moves[i] is None until id i is first
-    expanded, then a tuple of (weight, child id, change of need, the
-    child's counts) built once for every k.  counts[i] maps the steps
-    remaining k to the completion count of (k, id i); stored is the number
-    of such counts, which the DP guard bounds.  Id 0 is the origin.
-    """
-
-    __slots__ = ("ids", "heights", "moves", "counts", "stored")
-
-    def __init__(self, walk_type: WalkType):
-        origin = (0,) * len(walk_type.constrained_kinds)
-        self.ids = {origin: 0}
-        self.heights = [origin]
-        self.moves = [None]
-        self.counts = [{}]
-        self.stored = 0
-
-
-def _completions(walk_type: WalkType, n: int, table: _Table, limits: ResourceLimits) -> int:
-    """Walk completions of length n starting from the origin.
+def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLimits) -> list:
+    """Walk completions from the origin for each of lengths, in order.
 
     The memo keys on canonical heights, one state per orbit of the
     symmetries that preserve the count.  A bridge is symmetric under
@@ -159,10 +137,16 @@ def _completions(walk_type: WalkType, n: int, table: _Table, limits: ResourceLim
     the down move lowers its first, which keeps the run sorted.  The r
     free directions are one move of weight r to the same heights.
 
-    Each canonical heights tuple is interned once to an id of the table,
-    and expand builds an id's moves the first time rec reaches it; every
-    k and every n reuse them.  rec looks each child's count up in the
-    child's dict before it calls itself, so a stored child costs no call.
+    The memo is local to this call and shared by every length of it.
+    ids interns each canonical heights tuple to an integer id, and
+    heights_of[i] is the tuple of id i; id 0 is the origin.  moves[i] is
+    None until rec first reaches id i, then expand builds it once as a
+    tuple of (weight, child id, change of need, the child's counts),
+    reused for every k and every length.  counts[i] maps the steps
+    remaining k to the completion count of (k, id i); stored is the
+    number of such counts, which the DP guard bounds.  rec looks each
+    child's count up in the child's dict before it calls itself, so a
+    stored child costs no call.
 
     rec carries need, the sum of the returning heights (excursions and
     bridges, bridges as |h|); each move changes it by +1 or -1, or by 0 on
@@ -172,27 +156,24 @@ def _completions(walk_type: WalkType, n: int, table: _Table, limits: ResourceLim
     memoized.  A child with no step left counts 1 if it is live.  With no
     free direction and no meander every step moves need by one, so
     k - need keeps its parity from the root on (the parity lock), and an
-    odd n counts 0 without visiting any state.
+    odd length counts 0 without visiting any state.
 
     rec refers to itself through its closure cell; the finally clause
-    breaks that cycle, so the table is freed by reference counting as
-    soon as the caller drops it, also when the guard or the recursion
-    limit raises.
+    breaks that cycle, so the memo is freed by reference counting on
+    return, also when the guard or the recursion limit raises.
     """
-    if n < 0:
-        raise ValueError(f"walk length must be >= 0, got {n}")
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
     span = len(kinds)
     returns = tuple(int(kind.returns_to_zero) for kind in kinds)
-    # The parity lock: an odd n is dead.
-    if n % 2 and not r and all(returns):
-        return 0
-    if n == 0:
-        return 1
-    ids, heights_of, moves, counts = table.ids, table.heights, table.moves, table.counts
+    parity_locked = not r and all(returns)
+    origin = (0,) * span
+    ids = {origin: 0}
+    heights_of = [origin]
+    moves = [None]
+    counts = [{}]
     limit = limits.max_dp_states
-    stored = table.stored
+    stored = 0
 
     def expand(hid: int) -> tuple:
         heights = heights_of[hid]
@@ -245,8 +226,15 @@ def _completions(walk_type: WalkType, n: int, table: _Table, limits: ResourceLim
         counts[hid][k] = total
         return total
 
+    totals = []
     try:
-        return rec(n, 0, 0)
+        for n in lengths:
+            if n % 2 and parity_locked:
+                totals.append(0)
+            elif n == 0:
+                totals.append(1)
+            else:
+                totals.append(rec(n, 0, 0))
+        return totals
     finally:
-        table.stored = stored
         rec = None

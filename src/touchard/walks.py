@@ -53,53 +53,22 @@ class DimKind(enum.Enum):
 _BY_LETTER = {kind.value: kind for kind in DimKind}
 
 
-class _Record:
-    """Immutable value record over its __slots__: equality, hash and repr.
-
-    Lighter to import and define than a frozen dataclass; subclasses set
-    their fields in __init__ through object.__setattr__.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class WalkType(_Record):
+class WalkType(NamedTuple("WalkType", [("dims", tuple)])):
     """An ordered bundle of per-dimension constraint kinds.
 
     Construction canonicalizes the dimension order by letter, so
     WalkType for "ea" compares equal to the one for "ae".
     """
 
-    __slots__ = ("dims",)
+    __slots__ = ()
 
-    def __init__(self, dims: tuple):
+    def __new__(cls, dims: tuple):
         dims = tuple(sorted(dims, key=lambda k: k.value))
         if not 1 <= len(dims) <= MAX_DIMS:
             raise ValueError(
                 f"walk types need between 1 and {MAX_DIMS} dimensions, got {len(dims)}"
             )
-        object.__setattr__(self, "dims", dims)
+        return super().__new__(cls, dims)
 
     @property
     def letters(self) -> str:

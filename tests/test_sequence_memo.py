@@ -1,0 +1,18 @@
+"""sequence_dp shares one memo across every length of one call."""
+
+import pytest
+
+from touchard import GuardExceeded, ResourceLimits, canonicalize_type, sequence_dp
+
+# Memo states stored by sequence_dp over all lengths 0..n_max, which no
+# single length stores alone.
+SEQUENCE_STATES = [("aaaa", 30, 1_332), ("aaa", 60, 9_215)]
+
+
+@pytest.mark.parametrize("letters, n_max, states", SEQUENCE_STATES)
+def test_sequence_guard_trips_at_the_exact_state_count(letters, n_max, states):
+    wt = canonicalize_type(letters)
+    full = sequence_dp(wt, n_max)
+    assert sequence_dp(wt, n_max, ResourceLimits(max_dp_states=states)) == full
+    with pytest.raises(GuardExceeded, match=f"more than {states - 1} memo states"):
+        sequence_dp(wt, n_max, ResourceLimits(max_dp_states=states - 1))

@@ -263,7 +263,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        # Flush here, so that a reader that closed early shows up below.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull, so that the
+        # interpreter's final flush of what is left cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, GuardExceeded, ValueError, RecursionError, MemoryError) as exc:
         # ParseError is a ValueError; MemoryError usually carries no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -14,29 +14,50 @@ and a walk of the type interleaves one walk per factor, so
 
     count(type, n) = n! [x^n] e^{r x} * prod over constrained dims F_kind(x).
 
-A product of EGFs is a binomial convolution of their term tables,
-(a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  general_count builds a
-table up to n per distinct constrained kind by rolling ratios.  It takes
-e^{r x} as the last factor when r > 0, and otherwise the last constrained
-dimension; it convolves the other factors in full against one Pascal row
-per m, and evaluates the last convolution at index n only (by Horner's
-rule in r when the last factor is e^{r x}).  With h >= 1 factors before
-the last that is (h - 1) * (n+1)(n+2)/2 + (n + 1) index pairs, where a
-sum over step allocations visits C(n + d, d) allocations for d
-constrained dimensions.  general_sequence runs the last convolution in
-full too and returns every count 0..n.
+Every factor is hypergeometric: its EGF coefficient e_k = term k / k!
+is the nonzero one before it (two indices back for an excursion or
+bridge, one back otherwise) times a quotient of small integers.  _ratios
+writes that quotient once per kind, and every route below rolls terms
+by it.
 
-Every term of length k has O(k) bits, so the tables take O(h n^2) bits
-and an index pair multiplies O(n)-bit numbers.  Both functions estimate
-that work before starting and raise GuardExceeded when it exceeds
-MAX_FORMULA_WORK.
+A type with one or two factors needs no term table.  One factor's count
+is its term n, from exactmath.  Two factors a and b make the single sum
+
+    count(type, n) = sum_k binomial(n, k) a_k b_(n-k) = n! sum_k e_k f_(n-k),
+
+whose terms are hypergeometric in k as well (Petkovsek, Wilf and
+Zeilberger, A = B, 1996).  general_count starts from term 0, which is
+b_n, and rolls each next term from the one before with one small-integer
+multiplication and one exact division by a small integer, stepping by 2
+over even k when a factor is an excursion or bridge.  These are the 50
+types with at most one constrained dimension or with two constrained
+dimensions and no free one, among them both sums of the paper: ae
+(Touchard's identity) and ce.
+
+With three or more factors, general_count convolves term tables rolled
+by the same ratios: (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  It
+takes e^{r x} as the last factor when r > 0, and otherwise the last
+constrained dimension; it convolves the other factors in full against
+one Pascal row per m, and evaluates the last convolution at index n only
+(by Horner's rule in r when the last factor is e^{r x}).  With h >= 2
+factors before the last that is (h - 1) * (n+1)(n+2)/2 + (n + 1) index
+pairs, where a sum over step allocations visits C(n + d, d) allocations
+for d constrained dimensions.  general_sequence runs every convolution
+in full, for any number of factors, and returns every count 0..n.
+
+Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
+operations, the tables O(h n^2) bits, and an index pair multiplies
+O(n)-bit numbers.  Both functions estimate that work before starting and
+raise GuardExceeded when it exceeds MAX_FORMULA_WORK; the estimate still
+charges a one- or two-factor count for the tables the convolution would
+build.
 """
 
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import repeat
+from operator import floordiv, mul
 
-# All five names stay module attributes, central_binomial_even included,
-# because touchbench/tracer.py wraps them here by name.
+# All five names stay module attributes because touchbench/tracer.py wraps
+# them here by name.
 from .exactmath import (
     binomial,
     catalan,
@@ -67,24 +88,90 @@ def touchard_terms(n: int) -> list:
     ]
 
 
-def _kind_terms(kind: DimKind, n: int):
-    """Terms 0..n of one dimension's EGF, rolled by their ratios."""
-    value = 1
+def _shift(ks: range, c: int) -> range:
+    """The range of k + c for k in ks."""
+    return range(ks.start + c, ks.stop + c, ks.step)
+
+
+def _ratios(kind: DimKind, r: int, ks: range) -> tuple:
+    """Iterables (nums, dens) with e_(k + step) / e_k = num / den for k in ks.
+
+    e_k = term k / k! is the factor's EGF coefficient.  The step is 2 for
+    an excursion or bridge, whose odd terms are 0, and 1 otherwise.
+    DimKind.FREE stands for the pool e^{r x} of all r unrestricted
+    directions.
+    """
+    if kind is DimKind.EXCURSION:
+        # e_(2i) = 1 / (i! (i + 1)!), so the ratio is 1 / ((i + 1)(i + 2)) with k = 2i.
+        return repeat(4, len(ks)), map(mul, _shift(ks, 2), _shift(ks, 4))
+    if kind is DimKind.BRIDGE:
+        # e_(2i) = 1 / (i! i!), so the ratio is 1 / (i + 1)^2.
+        return repeat(4, len(ks)), map(mul, _shift(ks, 2), _shift(ks, 2))
     if kind is DimKind.MEANDER:
-        for k in range(n + 1):
-            yield value
-            # binomial(k+1, floor((k+1)/2)) from binomial(k, floor(k/2))
-            value = value * (k + 1) // (k // 2 + 1) if k % 2 == 0 else 2 * value
-        return
-    # catalan(i+1) = catalan(i) * 2(2i+1) / (i+2);
-    # binomial(2i+2, i+1) = binomial(2i, i) * 2(2i+1) / (i+1)
-    shift = 2 if kind is DimKind.EXCURSION else 1
-    for k in range(n + 1):
-        if k % 2:
-            yield 0
-        else:
-            yield value
-            value = value * 2 * (k + 1) // (k // 2 + shift)
+        # e_k = 1 / (floor(k / 2)! ceil(k / 2)!), so the ratio is 1 / floor((k + 2) / 2).
+        return repeat(1, len(ks)), map(floordiv, _shift(ks, 2), repeat(2))
+    # e_k = r^k / k!
+    return repeat(r, len(ks)), _shift(ks, 1)
+
+
+def _roll(term: int, nums, dens):
+    """term, then each next term: the one before times num, divided exactly by den."""
+    yield term
+    for num, den in zip(nums, dens):
+        term = term * num // den
+        yield term
+
+
+def _kind_terms(kind: DimKind, r: int, n: int) -> list:
+    """Terms 0..n of one factor's EGF, rolled by _ratios times (k + step)! / k!."""
+    step = 2 if kind.returns_to_zero else 1
+    ks = range(0, n - step + 1, step)
+    nums, dens = _ratios(kind, r, ks)
+    for i in range(1, step + 1):
+        nums = map(mul, nums, _shift(ks, i))
+    if step == 1:
+        return list(_roll(1, nums, dens))
+    # Only the even terms are rolled; the odd ones stay 0.
+    terms = [0] * (n + 1)
+    terms[::2] = _roll(1, nums, dens)
+    return terms
+
+
+def _term(kind: DimKind, k: int, r: int) -> int:
+    """Term k of one factor's EGF, from exactmath."""
+    if kind is DimKind.EXCURSION:
+        return 0 if k % 2 else catalan(k // 2)
+    if kind is DimKind.BRIDGE:
+        return 0 if k % 2 else central_binomial_even(k // 2)
+    if kind is DimKind.MEANDER:
+        return central_binomial_any(k)
+    return r**k
+
+
+def _rolled_sum(a: DimKind, b: DimKind, r: int, n: int) -> int:
+    """sum_k binomial(n, k) a_k b_(n-k), each nonzero term rolled from the one before.
+
+    Term k is n! e_k f_(n-k) for the EGF coefficients e of a and f of b,
+    so one step multiplies it by a's ratio at k and divides it by b's
+    ratio at n - k - step: small integers, and no binomial to carry.  An
+    excursion or bridge goes first, so k steps by 2 over even k whenever a
+    factor has zero odd terms.  The sum starts from term 0, which is b_n.
+    """
+    if b.returns_to_zero:
+        a, b = b, a
+    b_step = 2 if b.returns_to_zero else 1
+    if b_step == 2 and n % 2:
+        return 0
+    step = 2 if a.returns_to_zero else 1
+    ks = range(0, n - step + 1, step)
+    js = range(n - step, -1, -step)  # n - k - step, b's index after the step from k
+    nums, dens = _ratios(a, r, ks)
+    # f_j / f_(j + step) inverts b's ratio at j, and at j + 1 as well when
+    # b steps by 1 and the sum by 2.
+    for shift in range(0, step, b_step):
+        b_nums, b_dens = _ratios(b, r, _shift(js, shift))
+        nums, dens = map(mul, nums, b_dens), map(mul, dens, b_nums)
+    return sum(_roll(_term(b, n, r), nums, dens))
 
 
 def _check(walk_type: WalkType, n: int, tables: int, pairs: int) -> None:
@@ -112,7 +199,7 @@ def _check(walk_type: WalkType, n: int, tables: int, pairs: int) -> None:
 
 def _factors(kinds: list, n: int) -> list:
     """(term table, even_only) per dimension; one table per distinct kind."""
-    tables = {kind: list(_kind_terms(kind, n)) for kind in set(kinds)}
+    tables = {kind: _kind_terms(kind, 0, n) for kind in set(kinds)}
     return [(tables[kind], kind.returns_to_zero) for kind in kinds]
 
 
@@ -161,8 +248,10 @@ def _pairs(factor_count: int, n: int) -> int:
 def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
-    Raises GuardExceeded, before any work, when the estimated work
-    exceeds MAX_FORMULA_WORK.
+    One factor gives its term n and two factors a rolled sum (_rolled_sum),
+    without a term table; three or more are convolved, the last factor at
+    index n only.  Raises GuardExceeded, before any work, when the
+    estimated work exceeds MAX_FORMULA_WORK.
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
@@ -170,8 +259,12 @@ def general_count(walk_type: WalkType, n: int) -> int:
     inner = len(kinds) if r else len(kinds) - 1
     # One table per dimension at most, plus binomial(n, k) rolled along k.
     _check(walk_type, n, len(kinds) + 1, _pairs(inner, n) + n + 1)
-    factors = _factors(kinds, n)
-    series = _full_product(factors[:inner], n)
+    if inner < 2:
+        # One or two factors; DimKind.FREE stands for e^{r x}.
+        factors = kinds + (DimKind.FREE,) * (r > 0)
+        return _rolled_sum(*factors, r, n) if inner else _term(*factors, n, r)
+    tables = _factors(kinds, n)
+    series = _full_product(tables[:inner], n)
     # The last convolution at index n alone, with binomial(n, k) rolled along k.
     # With r > 0 it is sum_k binomial(n, k) series_k r^(n-k), by Horner's rule.
     total = 0
@@ -180,7 +273,7 @@ def general_count(walk_type: WalkType, n: int) -> int:
         if r:
             total = total * r + c * series[k]
         elif series[k]:
-            total += c * series[k] * factors[-1][0][n - k]
+            total += c * series[k] * tables[-1][0][n - k]
         c = c * (n - k) // (k + 1)
     return total
 
@@ -196,7 +289,7 @@ def general_sequence(walk_type: WalkType, n_max: int) -> list:
     _check(walk_type, n_max, count, _pairs(count, n_max))
     factors = _factors(kinds, n_max)
     if r:
-        factors.append((list(accumulate(repeat(r, n_max), mul, initial=1)), False))
+        factors.append((_kind_terms(DimKind.FREE, r, n_max), False))
     return _full_product(factors, n_max)
 
 

@@ -103,6 +103,24 @@ def _golden_records() -> tuple:
     return tuple(records)
 
 
+@cache
+def _golden_by_letters() -> dict:
+    return {record.walk_type.letters: record for record in _golden_records()}
+
+
+def _by_letters(records) -> dict:
+    """Golden records keyed by type letters; a dict is taken as already keyed.
+
+    Records equal to the golden file's share one dict per process.  Tuple
+    equality tests identity first, so the check costs little for them.
+    """
+    if isinstance(records, dict):
+        return records
+    if tuple(records) == _golden_records():
+        return _golden_by_letters()
+    return {record.walk_type.letters: record for record in records}
+
+
 @dataclass(frozen=True)
 class Table2Entry:
     """A two-dimensional type mapped to its cited sequence identifier."""
@@ -255,12 +273,13 @@ def verify(
     For the two transposed golden rows the adjudicated expectation is
     the partner row's digits; the verbatim digits still appear in the
     golden column and the row is flagged "erratum" with an explanatory
-    NOTE.  Lengths that no column fills are omitted with a WARN.
+    NOTE.  Lengths that no column fills are omitted with a WARN.  records
+    are the golden records (golden_table3() by default), as a list or as
+    a dict keyed by type letters.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    records = golden_table3() if records is None else records
-    by_letters = {record.walk_type.letters: record for record in records}
+    by_letters = _by_letters(golden_table3() if records is None else records)
     letters = walk_type.letters
     record = by_letters.get(letters)
     golden = record.terms if record is not None else ()
@@ -339,12 +358,13 @@ def verify_table3(
 ) -> VerificationReport:
     """Cross-check every golden row over its printed terms (capped at n_max)."""
     records = golden_table3() if records is None else records
+    by_letters = _by_letters(records)
     report = VerificationReport()
     for record in records:
         row_max = len(record.terms) - 1
         if n_max is not None:
             row_max = min(row_max, n_max)
-        part = verify(record.walk_type, row_max, limits, records)
+        part = verify(record.walk_type, row_max, limits, by_letters)
         report.rows.extend(part.rows)
         report.notes.extend(part.notes)
         report.warnings.extend(part.warnings)

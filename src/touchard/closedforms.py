@@ -35,26 +35,38 @@ dimensions and no free one, among them both sums of the paper: ae
 (Touchard's identity) and ce.
 
 With three or more factors, general_count convolves term tables rolled
-by the same ratios: (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  It
-takes e^{r x} as the last factor when r > 0, and otherwise the last
-constrained dimension; it convolves the other factors in full against
+by the same ratios: (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  Two
+dimensions of one kind share one table, and their product is a square
+whose terms k and m - k are equal: it sums the pairs with k < m - k,
+doubles them and adds the centre term, half the index pairs of a product
+of two tables.  general_count first pairs each repeated kind into one
+square, then takes e^{r x} as the last factor when r > 0, and otherwise
+the last of the remaining squares and single dimensions.  It convolves
+the others in full, in the same pass over m as the squares and against
 one Pascal row per m, and evaluates the last convolution at index n only
-(by Horner's rule in r when the last factor is e^{r x}).  With h >= 2
-factors before the last that is (h - 1) * (n+1)(n+2)/2 + (n + 1) index
+(by Horner's rule in r when the last factor is e^{r x}).  So ccc is C^2
+in full and one dot with C at n; cccc is C^2 and a square of C^2 at n;
+aabb is A^2, B^2 and one dot; aae is A^2 and Horner's rule.  With s
+distinct squares and u squares and single dimensions before the last,
+that is about s (n+1)(n+2)/4 + (u - 1)(n+1)(n+2)/2 + (n + 1) index
 pairs, where a sum over step allocations visits C(n + d, d) allocations
-for d constrained dimensions.  general_sequence runs every convolution
-in full, for any number of factors, and returns every count 0..n.
+for d constrained dimensions.  general_sequence pairs repeated kinds the
+same way, runs every convolution in full, and returns every count 0..n.
 
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
 O(n)-bit numbers.  Both functions estimate that work before starting and
-raise GuardExceeded when it exceeds MAX_FORMULA_WORK; the estimate still
-charges a one- or two-factor count for the tables the convolution would
-build.
+raise GuardExceeded when it exceeds MAX_FORMULA_WORK (see _check).  A
+two-factor count is charged for its n // step + 1 rolled terms, each one
+multiplication and one exact division, so ae and aa are admitted up to
+n = 46 339 and ce and cc up to 32 767.  A one-factor count and a
+convolution keep the charge of one table per dimension plus one, and of
+(h - 1)(n+1)(n+2)/2 + (n + 1) index pairs for h factors before the last,
+which does not credit the halved squares: cccc is refused past n = 1 124.
 """
 
-from itertools import repeat
-from operator import floordiv, mul
+from itertools import groupby, repeat
+from operator import add, floordiv, mul
 
 # All five names stay module attributes because touchbench/tracer.py wraps
 # them here by name.
@@ -174,7 +186,7 @@ def _rolled_sum(a: DimKind, b: DimKind, r: int, n: int) -> int:
     return sum(_roll(_term(b, n, r), nums, dens))
 
 
-def _check(walk_type: WalkType, n: int, tables: int, pairs: int) -> None:
+def _check(walk_type: WalkType, n: int, tables: int = 0, pairs: int = 0, rolled: int = 0) -> None:
     """Raise unless n >= 0 and the estimated work fits MAX_FORMULA_WORK.
 
     With s step directions a term of length n has at most
@@ -182,13 +194,15 @@ def _check(walk_type: WalkType, n: int, tables: int, pairs: int) -> None:
     (n + 1) * size / 2 bits and takes as many bit operations to roll.  An
     index pair multiplies numbers of about size bits: size bit operations
     while interpreter overhead dominates, and size / 2048 times as many
-    above 2048 bits, where the multiplications themselves take over.
+    above 2048 bits, where the multiplications themselves take over.  A
+    rolled term of the two-factor sum takes one multiplication and one
+    exact division of a size-bit number by a small integer: 2 * size.
     """
     if n < 0:
         raise ValueError(f"the master summation requires n >= 0, got {n}")
     steps = 2 * len(walk_type.constrained_kinds) + walk_type.free_direction_count
     size = (n + 1) * max(1, (steps - 1).bit_length())
-    work = tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048)
+    work = tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048) + 2 * rolled * size
     if work > MAX_FORMULA_WORK:
         raise GuardExceeded(
             f"the master summation for type {walk_type} up to n = {n} needs about "
@@ -206,38 +220,66 @@ def _factors(kinds: list, n: int) -> list:
 def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int:
     """sum_k binomial(m, k) a_k b_(m-k), skipping the zero odd terms.
 
-    Factors come even-only first, so b_even implies a_even.
+    Factors come even-only first, so b_even implies a_even.  When a is b
+    the sum is a square: its terms k and m - k are equal, so it sums the
+    pairs with k < m - k once, doubles them, and adds the centre term.
     """
     if b_even and m % 2:
         return 0
-    if a_even:
-        row, a, b = row[: m + 1 : 2], a[: m + 1 : 2], b[m::-2]
-    else:
-        row, a, b = row[: m + 1], a[: m + 1], b[m::-1]
-    return sum(map(int.__mul__, map(int.__mul__, row, a), b))
+    step = 2 if a_even else 1
+    stop = (m + 1) // 2 if a is b else m + 1
+    # map stops at the shortest operand, so b's reversed slice needs no end.
+    total = sum(map(int.__mul__, map(int.__mul__, row[:stop:step], a[:stop:step]), b[m::-step]))
+    if a is b:
+        total = 2 * total + (0 if m % 2 else row[m // 2] * a[m // 2] ** 2)
+    return total
 
 
-def _full_product(factors: list, n: int) -> list:
+def _full_product(factors: list, n: int, squares: list = ()) -> list:
     """Terms 0..n of the product of the factors; the identity when there are none.
 
-    One pass over m serves every convolution: each prefix product needs
-    only lower indices of the one before it, so all share one Pascal row.
+    One pass over m serves every convolution: each product at m needs only
+    indices up to m of its operands, so all share one Pascal row.  Each
+    (square, table, even) of squares is filled with the table's square at
+    m before the factors are, so a factor may be one of the squares.
     """
     if not factors:
         return [1] + [0] * n
-    if len(factors) == 1:
-        return factors[0][0]
     prefixes = [factors[0][0]] + [[0] * (n + 1) for _ in factors[1:]]
+    if len(prefixes) == 1 and not squares:
+        return prefixes[0]
     evens = [factors[0][1]]
     for _, even in factors[1:]:
         evens.append(evens[-1] and even)
     row = [1]
     for m in range(n + 1):
         if m:
-            row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+            row = [1, *map(add, row, row[1:]), 1]
+        for square, table, even in squares:
+            square[m] = _dot(row, table, even, table, even, m)
         for j, (table, even) in enumerate(factors[1:]):
             prefixes[j + 1][m] = _dot(row, prefixes[j], evens[j], table, even, m)
     return prefixes[-1]
+
+
+def _squared(factors: list, n: int) -> tuple:
+    """(units, squares): the factors with each two of one kind made one square.
+
+    Factors of one kind share one table and sit side by side.  Each square
+    is a table of zeros for _full_product to fill, listed once in squares
+    as (square, table, even); a kind that occurs four times is two units
+    of the same square.
+    """
+    units, squares = [], []
+    for _, group in groupby(factors, key=lambda factor: id(factor[0])):
+        group = list(group)
+        table, even = group[0]
+        if len(group) > 1:
+            square = [0] * (n + 1)
+            squares.append((square, table, even))
+            units += [(square, even)] * (len(group) // 2)
+        units += group[len(group) // 2 * 2 :]
+    return units, squares
 
 
 def _pairs(factor_count: int, n: int) -> int:
@@ -249,48 +291,55 @@ def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
     One factor gives its term n and two factors a rolled sum (_rolled_sum),
-    without a term table; three or more are convolved, the last factor at
-    index n only.  Raises GuardExceeded, before any work, when the
-    estimated work exceeds MAX_FORMULA_WORK.
+    without a term table; three or more are convolved, each repeated kind
+    as one square and the last factor at index n only.  Raises
+    GuardExceeded, before any work, when the estimated work exceeds
+    MAX_FORMULA_WORK.
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
     # e^{r x} is the last factor when r > 0, and otherwise the last dimension.
     inner = len(kinds) if r else len(kinds) - 1
+    # DimKind.FREE stands for e^{r x}.
+    factors = kinds + (DimKind.FREE,) * (r > 0)
+    if inner == 1:
+        # The sum steps by 2 over k when a factor has zero odd terms; kinds
+        # are sorted, so an excursion or bridge comes first.
+        step = 2 if kinds[0].returns_to_zero else 1
+        _check(walk_type, n, rolled=n // step + 1)
+        return _rolled_sum(*factors, r, n)
     # One table per dimension at most, plus binomial(n, k) rolled along k.
     _check(walk_type, n, len(kinds) + 1, _pairs(inner, n) + n + 1)
-    if inner < 2:
-        # One or two factors; DimKind.FREE stands for e^{r x}.
-        factors = kinds + (DimKind.FREE,) * (r > 0)
-        return _rolled_sum(*factors, r, n) if inner else _term(*factors, n, r)
-    tables = _factors(kinds, n)
-    series = _full_product(tables[:inner], n)
-    # The last convolution at index n alone, with binomial(n, k) rolled along k.
-    # With r > 0 it is sum_k binomial(n, k) series_k r^(n-k), by Horner's rule.
-    total = 0
-    c = 1
-    for k in range(n + 1):
-        if r:
-            total = total * r + c * series[k]
-        elif series[k]:
-            total += c * series[k] * tables[-1][0][n - k]
-        c = c * (n - k) // (k + 1)
-    return total
+    if not inner:
+        return _term(*factors, n, r)
+    units, squares = _squared(_factors(kinds, n), n)
+    row = list(_roll(1, range(n, 0, -1), range(1, n + 1)))  # binomial(n, k), k = 0..n
+    if r:
+        # The last convolution at index n alone: sum_k binomial(n, k) series_k r^(n-k),
+        # by Horner's rule.
+        total = 0
+        for c, term in zip(row, _full_product(units, n, squares)):
+            total = total * r + c * term
+        return total
+    # The last unit at index n alone; _dot halves it when both operands are one square.
+    series = _full_product(units[:-1], n, squares)
+    return _dot(row, series, all(even for _, even in units[:-1]), *units[-1], n)
 
 
 def general_sequence(walk_type: WalkType, n_max: int) -> list:
     """Master-summation counts for every length 0..n_max, from one convolution.
 
-    Raises GuardExceeded like general_count.
+    Each repeated kind is one square, filled in the same pass.  Raises
+    GuardExceeded like general_count.
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
     count = len(kinds) + (r > 0)
     _check(walk_type, n_max, count, _pairs(count, n_max))
-    factors = _factors(kinds, n_max)
+    units, squares = _squared(_factors(kinds, n_max), n_max)
     if r:
-        factors.append((_kind_terms(DimKind.FREE, r, n_max), False))
-    return _full_product(factors, n_max)
+        units.append((_kind_terms(DimKind.FREE, r, n_max), False))
+    return _full_product(units, n_max, squares)
 
 
 def _require_even(n: int, what: str) -> None:

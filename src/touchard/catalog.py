@@ -103,24 +103,6 @@ def _golden_records() -> tuple:
     return tuple(records)
 
 
-@cache
-def _golden_by_letters() -> dict:
-    return {record.walk_type.letters: record for record in _golden_records()}
-
-
-def _by_letters(records) -> dict:
-    """Golden records keyed by type letters; a dict is taken as already keyed.
-
-    Records equal to the golden file's share one dict per process.  Tuple
-    equality tests identity first, so the check costs little for them.
-    """
-    if isinstance(records, dict):
-        return records
-    if tuple(records) == _golden_records():
-        return _golden_by_letters()
-    return {record.walk_type.letters: record for record in records}
-
-
 @dataclass(frozen=True)
 class Table2Entry:
     """A two-dimensional type mapped to its cited sequence identifier."""
@@ -242,6 +224,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _golden_row(records: list, walk_type: WalkType) -> SequenceRecord | None:
+    """walk_type's golden record among records, or None."""
+    return next((record for record in records if record.walk_type == walk_type), None)
+
+
 def _formula_prefix(walk_type: WalkType, n_max: int) -> tuple:
     """Master-summation counts for the longest admitted prefix of 0..n_max.
 
@@ -274,19 +261,18 @@ def verify(
     the partner row's digits; the verbatim digits still appear in the
     golden column and the row is flagged "erratum" with an explanatory
     NOTE.  Lengths that no column fills are omitted with a WARN.  records
-    are the golden records (golden_table3() by default), as a list or as
-    a dict keyed by type letters.
+    are the golden records (golden_table3() by default).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    by_letters = _by_letters(golden_table3() if records is None else records)
+    records = golden_table3() if records is None else records
     letters = walk_type.letters
-    record = by_letters.get(letters)
+    record = _golden_row(records, walk_type)
     golden = record.terms if record is not None else ()
     expected = golden
     partner_letters = TABLE3_TERM_TRANSPOSITIONS.get(letters)
-    if record is not None and partner_letters in by_letters:
-        expected = by_letters[partner_letters].terms
+    if record is not None and partner_letters is not None:
+        expected = (_golden_row(records, canonicalize_type(partner_letters)) or record).terms
 
     report = VerificationReport()
     oracle = []
@@ -303,14 +289,13 @@ def verify(
     if filled <= n_max:
         report.warnings.append(f"{letters}: rows n={filled}..{n_max} omitted: no column fills them")
 
-    def cell(column, n):
-        return column[n] if n < len(column) else None
-
+    columns = [
+        [*column[:filled]] + [None] * (filled - len(column))
+        for column in (oracle, formula, closed, golden, expected)
+    ]
     erratum_seen = False
-    for n in range(filled):
-        oracle_value, formula_value, closed_value, golden_value, expected_golden = (
-            cell(column, n) for column in (oracle, formula, closed, golden, expected)
-        )
+    for n, cells in enumerate(zip(*columns)):
+        oracle_value, formula_value, closed_value, golden_value, expected_golden = cells
         comparable = [
             value
             for value in (oracle_value, formula_value, closed_value, expected_golden)
@@ -358,13 +343,12 @@ def verify_table3(
 ) -> VerificationReport:
     """Cross-check every golden row over its printed terms (capped at n_max)."""
     records = golden_table3() if records is None else records
-    by_letters = _by_letters(records)
     report = VerificationReport()
     for record in records:
         row_max = len(record.terms) - 1
         if n_max is not None:
             row_max = min(row_max, n_max)
-        part = verify(record.walk_type, row_max, limits, by_letters)
+        part = verify(record.walk_type, row_max, limits, records)
         report.rows.extend(part.rows)
         report.notes.extend(part.notes)
         report.warnings.extend(part.warnings)

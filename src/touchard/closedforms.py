@@ -34,24 +34,25 @@ types with at most one constrained dimension or with two constrained
 dimensions and no free one, among them both sums of the paper: ae
 (Touchard's identity) and ce.
 
-With three or more factors, general_count convolves term tables rolled
-by the same ratios: (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  Two
-dimensions of one kind share one table, and their product is a square
-whose terms k and m - k are equal: it sums the pairs with k < m - k,
-doubles them and adds the centre term, half the index pairs of a product
-of two tables.  general_count first pairs each repeated kind into one
-square, then takes e^{r x} as the last factor when r > 0, and otherwise
-the last of the remaining squares and single dimensions.  It convolves
-the others in full, in the same pass over m as the squares and against
-one Pascal row per m, and evaluates the last convolution at index n only
-(by Horner's rule in r when the last factor is e^{r x}).  So ccc is C^2
-in full and one dot with C at n; cccc is C^2 and a square of C^2 at n;
-aabb is A^2, B^2 and one dot; aae is A^2 and Horner's rule.  With s
-distinct squares and u squares and single dimensions before the last,
-that is about s (n+1)(n+2)/4 + (u - 1)(n+1)(n+2)/2 + (n + 1) index
-pairs, where a sum over step allocations visits C(n + d, d) allocations
-for d constrained dimensions.  general_sequence pairs repeated kinds the
-same way, runs every convolution in full, and returns every count 0..n.
+general_count with three or more factors, and general_sequence with two
+or more, convolve term tables rolled by the same ratios:
+(a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  The factors are the
+dimensions in sorted order, then e^{r x} when r > 0, and _plan turns
+them into one list of convolutions.  Two dimensions of one kind share
+one table, and their product is a square whose terms k and m - k are
+equal: it sums the pairs with k < m - k, doubles them and adds the
+centre term, half the index pairs of a product of two tables.  The list
+squares each repeated kind first and then chains the squares and the
+remaining factors left to right.  _convolve fills every convolution in
+one pass over m, against one Pascal row per m.  general_sequence runs
+the whole list and returns every count 0..n.  general_count runs all but
+the last convolution and evaluates that one at index n alone, against
+Pascal row n.  So ccc is C^2 in full and one dot with C at n; cccc is
+C^2 and a square of C^2 at n; aabb is A^2, B^2 and one dot; aae is A^2
+and one dot with e^{r x}.  With s distinct squares and u squares and
+single factors before the last, that is about s (n+1)(n+2)/4 +
+(u - 1)(n+1)(n+2)/2 + (n + 1) index pairs, where a sum over step
+allocations visits C(n + d, d) allocations for d constrained dimensions.
 
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
@@ -165,12 +166,11 @@ def _rolled_sum(a: DimKind, b: DimKind, r: int, n: int) -> int:
 
     Term k is n! e_k f_(n-k) for the EGF coefficients e of a and f of b,
     so one step multiplies it by a's ratio at k and divides it by b's
-    ratio at n - k - step: small integers, and no binomial to carry.  An
-    excursion or bridge goes first, so k steps by 2 over even k whenever a
-    factor has zero odd terms.  The sum starts from term 0, which is b_n.
+    ratio at n - k - step: small integers, and no binomial to carry.  Kinds
+    are sorted and e^{r x} comes last, so a is an excursion or bridge
+    whenever b is, and k steps by 2 over even k whenever a factor has zero
+    odd terms.  The sum starts from term 0, which is b_n.
     """
-    if b.returns_to_zero:
-        a, b = b, a
     b_step = 2 if b.returns_to_zero else 1
     if b_step == 2 and n % 2:
         return 0
@@ -211,9 +211,13 @@ def _check(walk_type: WalkType, n: int, tables: int = 0, pairs: int = 0, rolled:
         )
 
 
-def _factors(kinds: list, n: int) -> list:
-    """(term table, even_only) per dimension; one table per distinct kind."""
-    tables = {kind: _kind_terms(kind, 0, n) for kind in set(kinds)}
+def _factors(kinds: tuple, r: int, n: int) -> list:
+    """(term table, even_only) per factor: each dimension, then e^{r x} when r > 0.
+
+    Factors of one kind share one table.
+    """
+    kinds += (DimKind.FREE,) * (r > 0)
+    tables = {kind: _kind_terms(kind, r, n) for kind in set(kinds)}
     return [(tables[kind], kind.returns_to_zero) for kind in kinds]
 
 
@@ -235,51 +239,45 @@ def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int
     return total
 
 
-def _full_product(factors: list, n: int, squares: list = ()) -> list:
-    """Terms 0..n of the product of the factors; the identity when there are none.
+def _plan(factors: list, n: int) -> list:
+    """Convolutions (out, a, a_even, b, b_even) whose last out is the product.
 
-    One pass over m serves every convolution: each product at m needs only
-    indices up to m of its operands, so all share one Pascal row.  Each
-    (square, table, even) of squares is filled with the table's square at
-    m before the factors are, so a factor may be one of the squares.
+    Factors of one kind sit side by side, and each two of them make one
+    square, listed first; a kind that occurs four times is two units of
+    the same square.  The chain then multiplies the units left to right.
+    A single factor needs no convolution.
     """
-    if not factors:
-        return [1] + [0] * n
-    prefixes = [factors[0][0]] + [[0] * (n + 1) for _ in factors[1:]]
-    if len(prefixes) == 1 and not squares:
-        return prefixes[0]
-    evens = [factors[0][1]]
-    for _, even in factors[1:]:
-        evens.append(evens[-1] and even)
-    row = [1]
-    for m in range(n + 1):
-        if m:
-            row = [1, *map(add, row, row[1:]), 1]
-        for square, table, even in squares:
-            square[m] = _dot(row, table, even, table, even, m)
-        for j, (table, even) in enumerate(factors[1:]):
-            prefixes[j + 1][m] = _dot(row, prefixes[j], evens[j], table, even, m)
-    return prefixes[-1]
-
-
-def _squared(factors: list, n: int) -> tuple:
-    """(units, squares): the factors with each two of one kind made one square.
-
-    Factors of one kind share one table and sit side by side.  Each square
-    is a table of zeros for _full_product to fill, listed once in squares
-    as (square, table, even); a kind that occurs four times is two units
-    of the same square.
-    """
-    units, squares = [], []
+    plan, units = [], []
     for _, group in groupby(factors, key=lambda factor: id(factor[0])):
         group = list(group)
         table, even = group[0]
         if len(group) > 1:
             square = [0] * (n + 1)
-            squares.append((square, table, even))
+            plan.append((square, table, even, table, even))
             units += [(square, even)] * (len(group) // 2)
         units += group[len(group) // 2 * 2 :]
-    return units, squares
+    product, product_even = units[0]
+    for table, even in units[1:]:
+        out = [0] * (n + 1)
+        plan.append((out, product, product_even, table, even))
+        product, product_even = out, product_even and even
+    return plan
+
+
+def _convolve(convolutions: list, n: int) -> list:
+    """Fill out[m] of every convolution for m = 0..n; return Pascal row n.
+
+    A convolution at m reads indices up to m of its operands, each filled
+    earlier in the list or in the pass, so one pass over m serves them
+    all against one Pascal row per m.
+    """
+    row = [1]
+    for m in range(n + 1):
+        if m:
+            row = [1, *map(add, row, row[1:]), 1]
+        for out, a, a_even, b, b_even in convolutions:
+            out[m] = _dot(row, a, a_even, b, b_even, m)
+    return row
 
 
 def _pairs(factor_count: int, n: int) -> int:
@@ -291,55 +289,47 @@ def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
     One factor gives its term n and two factors a rolled sum (_rolled_sum),
-    without a term table; three or more are convolved, each repeated kind
-    as one square and the last factor at index n only.  Raises
-    GuardExceeded, before any work, when the estimated work exceeds
-    MAX_FORMULA_WORK.
+    without a term table.  Three or more run the convolution list of
+    general_sequence but the last, and evaluate that one at index n alone,
+    against Pascal row n.  Raises GuardExceeded, before any work, when the
+    estimated work exceeds MAX_FORMULA_WORK.
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
-    # e^{r x} is the last factor when r > 0, and otherwise the last dimension.
-    inner = len(kinds) if r else len(kinds) - 1
     # DimKind.FREE stands for e^{r x}.
     factors = kinds + (DimKind.FREE,) * (r > 0)
-    if inner == 1:
+    if len(factors) == 2:
         # The sum steps by 2 over k when a factor has zero odd terms; kinds
         # are sorted, so an excursion or bridge comes first.
         step = 2 if kinds[0].returns_to_zero else 1
         _check(walk_type, n, rolled=n // step + 1)
         return _rolled_sum(*factors, r, n)
-    # One table per dimension at most, plus binomial(n, k) rolled along k.
-    _check(walk_type, n, len(kinds) + 1, _pairs(inner, n) + n + 1)
-    if not inner:
+    # One table per dimension at most, plus Pascal row n.
+    _check(walk_type, n, len(kinds) + 1, _pairs(len(factors) - 1, n) + n + 1)
+    if len(factors) == 1:
         return _term(*factors, n, r)
-    units, squares = _squared(_factors(kinds, n), n)
-    row = list(_roll(1, range(n, 0, -1), range(1, n + 1)))  # binomial(n, k), k = 0..n
-    if r:
-        # The last convolution at index n alone: sum_k binomial(n, k) series_k r^(n-k),
-        # by Horner's rule.
-        total = 0
-        for c, term in zip(row, _full_product(units, n, squares)):
-            total = total * r + c * term
-        return total
-    # The last unit at index n alone; _dot halves it when both operands are one square.
-    series = _full_product(units[:-1], n, squares)
-    return _dot(row, series, all(even for _, even in units[:-1]), *units[-1], n)
+    *plan, (_, a, a_even, b, b_even) = _plan(_factors(kinds, r, n), n)
+    return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 
 
 def general_sequence(walk_type: WalkType, n_max: int) -> list:
-    """Master-summation counts for every length 0..n_max, from one convolution.
+    """Master-summation counts for every length 0..n_max.
 
-    Each repeated kind is one square, filled in the same pass.  Raises
-    GuardExceeded like general_count.
+    Runs one convolution list (_plan) in one pass over the lengths: each
+    repeated kind squared first, then the chain over the rest and e^{r x}.
+    A single factor is its own term table.  Raises GuardExceeded like
+    general_count.
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
     count = len(kinds) + (r > 0)
     _check(walk_type, n_max, count, _pairs(count, n_max))
-    units, squares = _squared(_factors(kinds, n_max), n_max)
-    if r:
-        units.append((_kind_terms(DimKind.FREE, r, n_max), False))
-    return _full_product(units, n_max, squares)
+    factors = _factors(kinds, r, n_max)
+    plan = _plan(factors, n_max)
+    if not plan:
+        return factors[0][0]
+    _convolve(plan, n_max)
+    return plan[-1][0]
 
 
 def _require_even(n: int, what: str) -> None:

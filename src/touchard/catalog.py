@@ -337,12 +337,10 @@ def verify(
 
 
 def verify_table3(
-    n_max: int | None = None,
-    limits: ResourceLimits | None = None,
-    records: list | None = None,
+    n_max: int | None = None, limits: ResourceLimits | None = None
 ) -> VerificationReport:
     """Cross-check every golden row over its printed terms (capped at n_max)."""
-    records = golden_table3() if records is None else records
+    records = golden_table3()
     report = VerificationReport()
     for record in records:
         row_max = len(record.terms) - 1

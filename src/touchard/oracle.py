@@ -10,12 +10,13 @@ lives in the locals of one _completions call, made by one count_dp or
 sequence_dp call: each canonical heights tuple is interned once to an
 integer id, the id's moves are built once and reused for every steps
 remaining, its counts are kept in one dict per id, and a running total
-of stored counts feeds the guard.  A child's stored count is looked up
-before the recursion calls itself.  The DP prunes dead states
-by reachability alone: a state is dead when the returning heights
-(excursions and bridges) sum to more than the steps left, and, for a type
-with no free direction and no meander, when the steps left and that sum
-differ in parity.  Dead states count 0 and are never memoized.
+of stored counts feeds the guard.  Each move carries its child's need,
+the sum of its returning heights (excursions and bridges), and a stored
+child count is looked up before the recursion calls itself.  A state is
+dead when its need exceeds the steps left, or, for a type with no free
+direction and no meander, differs from them in parity; dead states count
+0 and are never memoized.  Every id of need 0 starts its counts at {0: 1},
+the one completion with no step left, outside the guard's count.
 """
 
 import itertools
@@ -141,22 +142,22 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     ids interns each canonical heights tuple to an integer id, and
     heights_of[i] is the tuple of id i; id 0 is the origin.  moves[i] is
     None until rec first reaches id i, then expand builds it once as a
-    tuple of (weight, child id, change of need, the child's counts),
+    tuple of (weight, child id, the child's need, the child's counts),
     reused for every k and every length.  counts[i] maps the steps
     remaining k to the completion count of (k, id i); stored is the
-    number of such counts, which the DP guard bounds.  rec looks each
-    child's count up in the child's dict before it calls itself, so a
-    stored child costs no call.
+    number of counts rec stores, which the DP guard bounds.  rec looks
+    each child's count up in the child's dict before it calls itself, so
+    a stored child costs no call.
 
-    rec carries need, the sum of the returning heights (excursions and
-    bridges, bridges as |h|); each move changes it by +1 or -1, or by 0 on
-    a meander or a free direction.  A returning height h needs at least h
-    steps to reach 0 and one step moves one dimension, so a state with
-    need > k is dead: it counts 0, is skipped by its parent and is never
-    memoized.  A child with no step left counts 1 if it is live.  With no
-    free direction and no meander every step moves need by one, so
-    k - need keeps its parity from the root on (the parity lock), and an
-    odd length counts 0 without visiting any state.
+    An id's need is the sum of its returning heights (excursions and
+    bridges, bridges as |h|).  A returning height h needs at least h
+    steps to reach 0 and one step moves one dimension, so rec skips a
+    child whose need exceeds the steps left: it is dead, counts 0 and is
+    never memoized.  An id of need 0 is live with no step left, so its
+    counts start as {0: 1}, outside stored.  With no free direction and
+    no meander every step moves need by one, so k - need keeps its
+    parity from the root on (the parity lock), and an odd length counts
+    0 without visiting any state.
 
     rec refers to itself through its closure cell; the finally clause
     breaks that cycle, so the memo is freed by reference counting on
@@ -171,13 +172,14 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     ids = {origin: 0}
     heights_of = [origin]
     moves = [None]
-    counts = [{}]
+    counts = [{0: 1}]
     limit = limits.max_dp_states
     stored = 0
 
     def expand(hid: int) -> tuple:
         heights = heights_of[hid]
-        built = [(r, hid, 0, counts[hid])] if r else []
+        need = sum(itertools.compress(heights, returns))
+        built = [(r, hid, need, counts[hid])] if r else []
         ci = 0
         while ci < span:
             h = heights[ci]
@@ -188,35 +190,31 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
                 end += 1
             m = end - ci
             children = [(2 * m if h == 0 and kind is DimKind.BRIDGE else m,
-                         heights[: end - 1] + (h + 1,) + heights[end:], ret)]
+                         heights[: end - 1] + (h + 1,) + heights[end:], need + ret)]
             if h:
-                children.append((m, heights[:ci] + (h - 1,) + heights[ci + 1 :], -ret))
-            for weight, child, change in children:
+                children.append((m, heights[:ci] + (h - 1,) + heights[ci + 1 :], need - ret))
+            for weight, child, child_need in children:
                 cid = ids.get(child)
                 if cid is None:
                     cid = ids[child] = len(heights_of)
                     heights_of.append(child)
                     moves.append(None)
-                    counts.append({})
-                built.append((weight, cid, change, counts[cid]))
+                    counts.append({} if child_need else {0: 1})
+                built.append((weight, cid, child_need, counts[cid]))
             ci = end
         built = moves[hid] = tuple(built)
         return built
 
-    def rec(k: int, hid: int, need: int) -> int:
+    def rec(k: int, hid: int) -> int:
         nonlocal stored
         steps = k - 1
         total = 0
-        for weight, cid, change, child_counts in moves[hid] or expand(hid):
-            child_need = need + change
+        for weight, cid, child_need, child_counts in moves[hid] or expand(hid):
             if child_need > steps:
-                continue
-            if not steps:
-                total += weight
                 continue
             count = child_counts.get(steps)
             if count is None:
-                count = rec(steps, cid, child_need)
+                count = rec(steps, cid)
             total += weight * count
         if stored >= limit:
             raise GuardExceeded(
@@ -234,7 +232,7 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
             elif n == 0:
                 totals.append(1)
             else:
-                totals.append(rec(n, 0, 0))
+                totals.append(rec(n, 0))
         return totals
     finally:
         rec = None

@@ -30,10 +30,6 @@ class DimKind(enum.Enum):
     FREE = "e"
 
     @property
-    def letter(self) -> str:
-        return self.value
-
-    @property
     def stays_nonnegative(self) -> bool:
         return self in (DimKind.EXCURSION, DimKind.MEANDER)
 

@@ -142,11 +142,9 @@ def _kind_terms(kind: DimKind, r: int, n: int) -> list:
     nums, dens = _ratios(kind, r, ks)
     for i in range(1, step + 1):
         nums = map(mul, nums, _shift(ks, i))
-    if step == 1:
-        return list(_roll(1, nums, dens))
-    # Only the even terms are rolled; the odd ones stay 0.
+    # With a step of 2 only the even terms are rolled; the odd ones stay 0.
     terms = [0] * (n + 1)
-    terms[::2] = _roll(1, nums, dens)
+    terms[::step] = _roll(1, nums, dens)
     return terms
 
 
@@ -200,7 +198,7 @@ def _check(walk_type: WalkType, n: int, tables: int = 0, pairs: int = 0, rolled:
     """
     if n < 0:
         raise ValueError(f"the master summation requires n >= 0, got {n}")
-    steps = 2 * len(walk_type.constrained_kinds) + walk_type.free_direction_count
+    steps = sum(kind.direction_count for kind in walk_type.dims)
     size = (n + 1) * max(1, (steps - 1).bit_length())
     work = tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048) + 2 * rolled * size
     if work > MAX_FORMULA_WORK:
@@ -212,11 +210,10 @@ def _check(walk_type: WalkType, n: int, tables: int = 0, pairs: int = 0, rolled:
 
 
 def _factors(kinds: tuple, r: int, n: int) -> list:
-    """(term table, even_only) per factor: each dimension, then e^{r x} when r > 0.
+    """(term table, even_only) per factor kind, DimKind.FREE standing for e^{r x}.
 
     Factors of one kind share one table.
     """
-    kinds += (DimKind.FREE,) * (r > 0)
     tables = {kind: _kind_terms(kind, r, n) for kind in set(kinds)}
     return [(tables[kind], kind.returns_to_zero) for kind in kinds]
 
@@ -308,7 +305,7 @@ def general_count(walk_type: WalkType, n: int) -> int:
     _check(walk_type, n, len(kinds) + 1, _pairs(len(factors) - 1, n) + n + 1)
     if len(factors) == 1:
         return _term(*factors, n, r)
-    *plan, (_, a, a_even, b, b_even) = _plan(_factors(kinds, r, n), n)
+    *plan, (_, a, a_even, b, b_even) = _plan(_factors(factors, r, n), n)
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 
 
@@ -320,10 +317,10 @@ def general_sequence(walk_type: WalkType, n_max: int) -> list:
     A single factor is its own term table.  Raises GuardExceeded like
     general_count.
     """
-    kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
-    count = len(kinds) + (r > 0)
-    _check(walk_type, n_max, count, _pairs(count, n_max))
+    # DimKind.FREE stands for e^{r x}.
+    kinds = walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0)
+    _check(walk_type, n_max, len(kinds), _pairs(len(kinds), n_max))
     factors = _factors(kinds, r, n_max)
     plan = _plan(factors, n_max)
     if not plan:

@@ -23,27 +23,25 @@ MAX_DIMS = 4
 
 
 class DimKind(enum.Enum):
+    """One dimension's constraint kind, named by its letter.
+
+    Each member carries four facts, set once from its letter when the
+    enum is built: stays_nonnegative (a, c), returns_to_zero (a, b),
+    unrestricted (d, e) and direction_count, the number of step
+    directions (1 for d, 2 otherwise).
+    """
+
     EXCURSION = "a"
     BRIDGE = "b"
     MEANDER = "c"
     ONE_WAY = "d"
     FREE = "e"
 
-    @property
-    def stays_nonnegative(self) -> bool:
-        return self in (DimKind.EXCURSION, DimKind.MEANDER)
-
-    @property
-    def returns_to_zero(self) -> bool:
-        return self in (DimKind.EXCURSION, DimKind.BRIDGE)
-
-    @property
-    def unrestricted(self) -> bool:
-        return self in (DimKind.ONE_WAY, DimKind.FREE)
-
-    @property
-    def direction_count(self) -> int:
-        return 1 if self is DimKind.ONE_WAY else 2
+    def __init__(self, letter: str) -> None:
+        self.stays_nonnegative = letter in "ac"
+        self.returns_to_zero = letter in "ab"
+        self.unrestricted = letter in "de"
+        self.direction_count = 1 if letter == "d" else 2
 
 
 _BY_LETTER = {kind.value: kind for kind in DimKind}

@@ -9,14 +9,16 @@ disjoint pairs, left to right:
 The inverse expands each walk step back into its pair and restores the
 outer N...S frame.  Relabelling the four walk steps as up, down and two
 flat colours exhibits the same objects as two-coloured Motzkin paths.
+A Dyck word is the N/S token string of a type-a walk, so enumerate_dyck
+is the brute-force route over type a; it and parse_dyck build paths of
+words already checked, which DyckPath(word) would scan again.
 """
 
 import enum
-import itertools
 from typing import NamedTuple
 
-from .oracle import ResourceLimits, check_brute_guard
-from .walks import Direction, ParseError, Walk, canonicalize_type, validate
+from .oracle import ResourceLimits, enumerate_walks
+from .walks import Direction, ParseError, Walk, canonicalize_type, validate, walk_text
 
 TYPE_AE = canonicalize_type("ae")
 
@@ -89,7 +91,7 @@ def parse_dyck(text: str) -> DyckPath:
     word = "".join(letters)
     heights, defect = _scan(word)
     if defect is None:
-        return DyckPath(word)
+        return DyckPath._make((word,))
     offset = defect[0]
     if offset == len(word):
         raise ParseError(f"path ends at height {heights[-1]}, not 0", len(text))
@@ -149,6 +151,6 @@ def enumerate_dyck(length: int, limits: ResourceLimits | None = None) -> list:
     """All Dyck paths of the given even length, in lexicographic order (N < S)."""
     if length < 0 or length % 2:
         raise ValueError(f"Dyck paths have even length >= 0, got {length}")
-    check_brute_guard(2, length, limits, f"enumerating Dyck paths of length {length}")
-    words = ("".join(combo) for combo in itertools.product("NS", repeat=length))
-    return [DyckPath(word) for word in words if _scan(word)[1] is None]
+    type_a = canonicalize_type("a")
+    walks = enumerate_walks(type_a, length, limits)
+    return [DyckPath._make((walk_text(walk, type_a),)) for walk in walks]

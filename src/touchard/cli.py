@@ -136,10 +136,7 @@ def _cmd_dyck(args) -> int:
         walk = parse_walk(args.text, TYPE_AE)
         print(touchard_to_dyck(walk).word)
     else:
-        path = parse_dyck(args.text)
-        if path.length == 0:
-            raise CliError("the empty Dyck path has no corresponding walk")
-        print(walk_text(dyck_to_touchard(path), TYPE_AE))
+        print(walk_text(dyck_to_touchard(parse_dyck(args.text)), TYPE_AE))
     return 0
 
 

@@ -28,10 +28,12 @@ from .walks import DimKind, Walk, WalkType, step_alphabet
 class ResourceLimits(NamedTuple):
     """Guards against accidentally oversized searches.
 
-    A DP memo state takes about 130 to 170 bytes of peak RSS (168 B per
-    state for aa at n = 600, 130 B for aaa at n = 160, interned heights
-    and their moves included), so the default DP guard of 5 * 10**6
-    states is about 0.8 GiB.
+    max_dp_states bounds the DP's memo states, not the counts they hold.
+    A type with free directions keeps a state per length, and with s step
+    directions a count gains up to b = bit_length(s - 1) bits a step, so
+    those counts grow as n^2 in bits while the states grow as n.  The DP
+    therefore also refuses a length n once its stored counts times n * b
+    exceed MAX_DP_BITS, a fixed budget of 2^33 bits (1 GiB) of counts.
     """
 
     max_brute_candidates: int = 10_000_000
@@ -39,6 +41,7 @@ class ResourceLimits(NamedTuple):
 
 
 DEFAULT_LIMITS = ResourceLimits()
+MAX_DP_BITS = 2**33
 
 
 class GuardExceeded(RuntimeError):
@@ -145,7 +148,10 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     tuple of (weight, child id, the child's need, the child's counts),
     reused for every k and every length.  counts[i] maps the steps
     remaining k to the completion count of (k, id i); stored is the
-    number of counts rec stores, which the DP guard bounds.  rec looks
+    number of counts rec stores, which the DP guard bounds.  No count
+    stored before length n has more than n * bits bits, bits being the
+    most one step adds, so stored * n * bits must stay within
+    MAX_DP_BITS before each length.  rec looks
     each child's count up in the child's dict before it calls itself, so
     a stored child costs no call.
 
@@ -165,6 +171,7 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
+    bits = (sum(kind.direction_count for kind in walk_type.dims) - 1).bit_length()
     span = len(kinds)
     returns = tuple(int(kind.returns_to_zero) for kind in kinds)
     parity_locked = not r and all(returns)
@@ -227,6 +234,11 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     totals = []
     try:
         for n in lengths:
+            if stored * n * bits > MAX_DP_BITS:
+                raise GuardExceeded(
+                    f"DP for type {walk_type} at n = {n} needs more than "
+                    f"{MAX_DP_BITS} bits of counts"
+                )
             if n % 2 and parity_locked:
                 totals.append(0)
             elif n == 0:

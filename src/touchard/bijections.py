@@ -10,16 +10,19 @@ The inverse expands each walk step back into its pair and restores the
 outer N...S frame.  Relabelling the four walk steps as up, down and two
 flat colours exhibits the same objects as two-coloured Motzkin paths.
 A Dyck word is the N/S token string of a type-a walk, so enumerate_dyck
-is the brute-force route over type a; it and parse_dyck build paths of
-words already checked, which DyckPath(word) would scan again.
+is the brute-force route over type a, and parse_dyck reads Dyck text as
+type-a walk text: the same tokenizer folds ASCII case and skips
+whitespace.  Both build paths of words already checked, which
+DyckPath(word) would scan again.
 """
 
 import enum
 from typing import NamedTuple
 
 from .oracle import ResourceLimits, enumerate_walks
-from .walks import Direction, ParseError, Walk, canonicalize_type, validate, walk_text
+from .walks import Direction, ParseError, Walk, canonicalize_type, parse_walk, validate, walk_text
 
+TYPE_A = canonicalize_type("a")
 TYPE_AE = canonicalize_type("ae")
 
 _PAIR_TO_STEP = {
@@ -73,31 +76,24 @@ class DyckPath(NamedTuple("DyckPath", [("word", str)])):
 
 
 def parse_dyck(text: str) -> DyckPath:
-    """Parse a Dyck word, ignoring ASCII case and whitespace.
+    """Parse a Dyck word as type-a walk text, ignoring ASCII case and whitespace.
 
     Errors carry the offset of the offending character in the original
     text (or len(text) for an unbalanced ending).
     """
-    letters = []
-    positions = []
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        upper = ch.upper() if ch.isascii() else ch
-        if upper not in "NS":
-            raise ParseError(f"unrecognized Dyck letter {ch!r} at offset {i}", i)
-        letters.append(upper)
-        positions.append(i)
-    word = "".join(letters)
+    try:
+        word = walk_text(parse_walk(text, TYPE_A), TYPE_A)
+    except ParseError as error:
+        offset = error.offset
+        message = f"unrecognized Dyck letter {text[offset]!r} at offset {offset}"
+        raise ParseError(message, offset) from None
     heights, defect = _scan(word)
     if defect is None:
         return DyckPath._make((word,))
-    offset = defect[0]
-    if offset == len(word):
+    if defect[0] == len(word):
         raise ParseError(f"path ends at height {heights[-1]}, not 0", len(text))
-    raise ParseError(
-        f"path drops below the baseline at offset {positions[offset]}", positions[offset]
-    )
+    offset = [i for i, ch in enumerate(text) if not ch.isspace()][defect[0]]
+    raise ParseError(f"path drops below the baseline at offset {offset}", offset)
 
 
 def dyck_to_touchard(path: DyckPath) -> Walk:
@@ -151,6 +147,5 @@ def enumerate_dyck(length: int, limits: ResourceLimits | None = None) -> list:
     """All Dyck paths of the given even length, in lexicographic order (N < S)."""
     if length < 0 or length % 2:
         raise ValueError(f"Dyck paths have even length >= 0, got {length}")
-    type_a = canonicalize_type("a")
-    walks = enumerate_walks(type_a, length, limits)
-    return [DyckPath._make((walk_text(walk, type_a),)) for walk in walks]
+    walks = enumerate_walks(TYPE_A, length, limits)
+    return [DyckPath._make((walk_text(walk, TYPE_A),)) for walk in walks]

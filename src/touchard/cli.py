@@ -57,7 +57,7 @@ def _limits(args) -> ResourceLimits:
         try:
             max_states = int(raw)
         except ValueError:
-            raise CliError(f"{ENV_MAX_STATES} must be a positive integer, got {raw!r}")
+            max_states = 0
         if max_states <= 0:
             raise CliError(f"{ENV_MAX_STATES} must be a positive integer, got {raw!r}")
     return ResourceLimits(max_brute_candidates=max_brute, max_dp_states=max_states)

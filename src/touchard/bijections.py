@@ -10,8 +10,8 @@ The inverse expands each walk step back into its pair and restores the
 outer N...S frame.  Relabelling the four walk steps as up, down and two
 flat colours exhibits the same objects as two-coloured Motzkin paths.
 A Dyck word is the N/S token string of a type-a walk, so enumerate_dyck
-is the brute-force route over type a, and parse_dyck reads Dyck text as
-type-a walk text: the same tokenizer folds ASCII case and skips
+reads the brute-force route over type a, and parse_dyck reads Dyck text
+as type-a walk text: the same tokenizer folds ASCII case and skips
 whitespace.  Both build paths of words already checked, which
 DyckPath(word) would scan again.
 """
@@ -19,7 +19,7 @@ DyckPath(word) would scan again.
 import enum
 from typing import NamedTuple
 
-from .oracle import ResourceLimits, enumerate_walks
+from .oracle import ResourceLimits, _valid_walks
 from .walks import Direction, ParseError, Walk, canonicalize_type, parse_walk, validate, walk_text
 
 TYPE_A = canonicalize_type("a")
@@ -147,5 +147,5 @@ def enumerate_dyck(length: int, limits: ResourceLimits | None = None) -> list:
     """All Dyck paths of the given even length, in lexicographic order (N < S)."""
     if length < 0 or length % 2:
         raise ValueError(f"Dyck paths have even length >= 0, got {length}")
-    walks = enumerate_walks(TYPE_A, length, limits)
+    walks = _valid_walks(TYPE_A, length, limits)
     return [DyckPath._make((walk_text(walk, TYPE_A),)) for walk in walks]

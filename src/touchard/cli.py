@@ -20,6 +20,7 @@ from .oracle import (
     DEFAULT_LIMITS,
     GuardExceeded,
     ResourceLimits,
+    _valid_walks,
     count_dp,
     enumerate_walks,
     sequence_dp,
@@ -70,7 +71,7 @@ def _cmd_count(args) -> int:
     if args.method == "formula":
         value = general_count(walk_type, args.n)
     elif args.method == "brute":
-        value = len(enumerate_walks(walk_type, args.n, _limits(args)))
+        value = sum(1 for _ in _valid_walks(walk_type, args.n, _limits(args)))
     else:
         value = count_dp(walk_type, args.n, _limits(args))
     print(value)

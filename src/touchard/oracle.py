@@ -3,20 +3,23 @@
 These are the ground truth the closed forms are checked against, so the
 two routes share no counting logic: enumeration filters every candidate
 step string, while the DP recurses over (steps remaining, heights of the
-constrained dimensions).  The DP memo keys on canonical heights: bridge
-heights reflected to |h| and the heights of same-kind dimensions sorted,
-so each orbit of interchangeable heights is one memo state.  The memo
-lives in the locals of one _completions call, made by one count_dp or
-sequence_dp call: each canonical heights tuple is interned once to an
-integer id, the id's moves are built once and reused for every steps
-remaining, its counts are kept in one dict per id, and a running total
-of stored counts feeds the guard.  Each move carries its child's need,
-the sum of its returning heights (excursions and bridges), and a stored
-child count is looked up before the recursion calls itself.  A state is
-dead when its need exceeds the steps left, or, for a type with no free
-direction and no meander, differs from them in parity; dead states count
-0 and are never memoized.  Every id of need 0 starts its counts at {0: 1},
-the one completion with no step left, outside the guard's count.
+constrained dimensions).  One generator, _valid_walks, is the whole
+brute-force route, guard and filter: enumerate_walks lists its walks,
+while enumerate_dyck and count --method brute read them one at a time.
+The DP memo keys on canonical heights: bridge heights reflected to |h|
+and the heights of same-kind dimensions sorted, so each orbit of
+interchangeable heights is one memo state.  The memo lives in the locals
+of one _completions call, made by one count_dp or sequence_dp call: each
+canonical heights tuple is interned once to an integer id, the id's
+moves are built once and reused for every steps remaining, its counts
+are kept in one dict per id, and a running total of stored counts feeds
+the guard.  Each move carries its child's need, the sum of its returning
+heights (excursions and bridges), and a stored child count is looked up
+before the recursion calls itself.  A state is dead when its need
+exceeds the steps left, or, for a type with no free direction and no
+meander, differs from them in parity; dead states count 0 and are never
+memoized.  Every id of need 0 starts its counts at {0: 1}, the one
+completion with no step left, outside the guard's count.
 """
 
 import itertools
@@ -48,57 +51,47 @@ class GuardExceeded(RuntimeError):
     """A requested computation exceeds the configured resource guard."""
 
 
-def check_brute_guard(base: int, n: int, limits: ResourceLimits | None, what: str) -> None:
-    """Refuse a scan of base**n candidate strings of n letters each.
-
-    The scan is refused when the candidate count or n itself exceeds
-    limits.max_brute_candidates.  For base >= 2 the count exceeds the
-    guard once 2**n does, so a long n is refused without taking the
-    power, and the message shows the count in full only for n <= 64.
-    """
-    limit = (limits or DEFAULT_LIMITS).max_brute_candidates
-    if n <= limit and (base == 1 or n < limit.bit_length()) and base**n <= limit:
-        return
-    shown = f" = {base**n}" if n <= 64 else ""
-    raise GuardExceeded(
-        f"{what} scans {base}^{n}{shown} candidate strings of {n} letters, "
-        f"over the guard of {limit}"
-    )
-
-
 def enumerate_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> list:
     """All valid walks of the given length, in lexicographic token order.
 
-    Scans every candidate step string, so the candidate count
-    len(alphabet) ** n and n must stay within limits.max_brute_candidates.
+    Scans every candidate step string, so it refuses before the first
+    one when the candidate count base**n (base the alphabet size) or n
+    itself exceeds limits.max_brute_candidates.  For base >= 2 the count
+    exceeds the guard once 2**n does, so a long n is refused without
+    taking the power, and the message shows the count in full only for
+    n <= 64.
     """
+    return list(_valid_walks(walk_type, n, limits))
+
+
+def _valid_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None):
+    """Yield enumerate_walks' walks after its guard, one candidate pass each."""
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
     alphabet = sorted(step_alphabet(walk_type))
-    check_brute_guard(len(alphabet), n, limits, f"enumerating type {walk_type} at length {n}")
+    base = len(alphabet)
+    limit = (limits or DEFAULT_LIMITS).max_brute_candidates
+    if n > limit or (base > 1 and n >= limit.bit_length()) or base**n > limit:
+        shown = f" = {base**n}" if n <= 64 else ""
+        raise GuardExceeded(
+            f"enumerating type {walk_type} at length {n} scans {base}^{n}{shown} "
+            f"candidate strings of {n} letters, over the guard of {limit}"
+        )
     kinds = walk_type.dims
     ndims = len(kinds)
     nonneg = tuple(kind.stays_nonnegative for kind in kinds)
     to_zero = tuple(kind.returns_to_zero for kind in kinds)
     directions = [direction for _, direction in alphabet]
-    walks = []
     for combo in itertools.product(directions, repeat=n):
         heights = [0] * ndims
-        ok = True
         for dim, sign in combo:
             h = heights[dim] + sign
             heights[dim] = h
             if h < 0 and nonneg[dim]:
-                ok = False
                 break
-        if ok:
-            for dim in range(ndims):
-                if to_zero[dim] and heights[dim]:
-                    ok = False
-                    break
-        if ok:
-            walks.append(Walk(combo))
-    return walks
+        else:
+            if not any(itertools.compress(heights, to_zero)):
+                yield Walk(combo)
 
 
 def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:

@@ -206,8 +206,8 @@ def validate(walk: Walk, walk_type: WalkType) -> Violation | None:
     kinds = walk_type.dims
     heights = [0] * len(kinds)
     for index, (dim, sign) in enumerate(walk.steps):
-        if dim >= len(kinds):
-            raise ValueError(f"step on dimension {dim} outside type {walk_type}")
+        if not 0 <= dim < len(kinds) or sign not in (1, -1):
+            raise ValueError(f"step {(dim, sign)} outside type {walk_type}")
         if sign < 0 and kinds[dim] is DimKind.ONE_WAY:
             raise ValueError(f"negative step in one-way dimension {dim}")
         heights[dim] += sign

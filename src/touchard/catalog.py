@@ -17,6 +17,7 @@ documented defects in the published tables, NOTE lines:
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from itertools import zip_longest
 
 from .closedforms import (
     aa_closed,
@@ -289,27 +290,19 @@ def verify(
     if filled <= n_max:
         report.warnings.append(f"{letters}: rows n={filled}..{n_max} omitted: no column fills them")
 
-    columns = [
-        [*column[:filled]] + [None] * (filled - len(column))
-        for column in (oracle, formula, closed, golden, expected)
-    ]
+    columns = (oracle, formula, closed, golden, expected)
     erratum_seen = False
-    for n, cells in enumerate(zip(*columns)):
+    for n, cells in enumerate(zip_longest(*(column[:filled] for column in columns))):
         oracle_value, formula_value, closed_value, golden_value, expected_golden = cells
-        comparable = [
-            value
-            for value in (oracle_value, formula_value, closed_value, expected_golden)
-            if value is not None
-        ]
         if oracle_value is None:
             status = "skipped(oracle-guard)"
-        elif any(value != comparable[0] for value in comparable):
+        elif {formula_value, closed_value, expected_golden} - {None, oracle_value}:
             details = (
                 f"oracle={_fmt(oracle_value)},formula={_fmt(formula_value)},"
                 f"closed={_fmt(closed_value)},golden={_fmt(expected_golden)}"
             )
             status = f"mismatch({details})"
-        elif golden_value is not None and golden_value != comparable[0]:
+        elif golden_value not in (None, oracle_value):
             status = "erratum"
             erratum_seen = True
         else:

@@ -255,10 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Exact counts may run past the default 4300-digit int-to-str limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
+    # Exact counts may pass the 4300-digit int-to-str limit; lift it for this call only.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         status = args.func(args)
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
         # ParseError is a ValueError; MemoryError usually carries no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -57,13 +57,15 @@ allocations visits C(n + d, d) allocations for d constrained dimensions.
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
 O(n)-bit numbers.  Both functions estimate that work before starting and
-raise GuardExceeded when it exceeds MAX_FORMULA_WORK (see _check).  A
-two-factor count is charged for its n // step + 1 rolled terms, each one
-multiplication and one exact division, so ae and aa are admitted up to
-n = 46 339 and ce and cc up to 32 767.  A one-factor count and a
-convolution keep the charge of one table per dimension plus one, and of
-(h - 1)(n+1)(n+2)/2 + (n + 1) index pairs for h factors before the last,
-which does not credit the halved squares: cccc is refused past n = 1 124.
+raise GuardExceeded when it exceeds MAX_FORMULA_WORK.  _check charges
+each engine once, in its own units.  A one-factor count is one table,
+like its sequence, so both admit c up to n = 92 680.  A two-factor count
+is its n // step + 1 rolled terms: ae and aa up to 46 339, ce and cc up
+to 32 767.  A count of h >= 3 factors is a table per constrained
+dimension plus Pascal row n, h - 2 convolutions in full and one at n
+alone; a sequence of h factors is h tables and h - 1 convolutions in
+full.  A square is charged as a full product: cccc is refused past
+n = 1 124.
 """
 
 from itertools import groupby, repeat
@@ -184,22 +186,24 @@ def _rolled_sum(a: DimKind, b: DimKind, r: int, n: int) -> int:
     return sum(_roll(_term(b, n, r), nums, dens))
 
 
-def _check(walk_type: WalkType, n: int, tables: int = 0, pairs: int = 0, rolled: int = 0) -> None:
+def _check(walk_type: WalkType, n: int, tables=0, full=0, at_n=0, rolled=0) -> None:
     """Raise unless n >= 0 and the estimated work fits MAX_FORMULA_WORK.
 
     With s step directions a term of length n has at most
-    size = n * log2(s) bits, so a table of terms 0..n holds about
-    (n + 1) * size / 2 bits and takes as many bit operations to roll.  An
-    index pair multiplies numbers of about size bits: size bit operations
-    while interpreter overhead dominates, and size / 2048 times as many
-    above 2048 bits, where the multiplications themselves take over.  A
-    rolled term of the two-factor sum takes one multiplication and one
-    exact division of a size-bit number by a small integer: 2 * size.
+    size = n * log2(s) bits.  Each table of terms 0..n holds about
+    (n + 1) * size / 2 bits and takes as many bit operations to roll.  A
+    convolution takes (n+1)(n+2)/2 index pairs in full, for every length
+    up to n, and n + 1 at n alone.  An index pair multiplies numbers of
+    about size bits: size bit operations while interpreter overhead
+    dominates, and size / 2048 times as many above 2048 bits, where the
+    multiplications themselves take over.  A rolled term takes one
+    multiplication and one exact division by a small integer: 2 * size.
     """
     if n < 0:
         raise ValueError(f"the master summation requires n >= 0, got {n}")
     steps = sum(kind.direction_count for kind in walk_type.dims)
     size = (n + 1) * max(1, (steps - 1).bit_length())
+    pairs = full * (n + 1) * (n + 2) // 2 + at_n * (n + 1)
     work = tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048) + 2 * rolled * size
     if work > MAX_FORMULA_WORK:
         raise GuardExceeded(
@@ -207,6 +211,12 @@ def _check(walk_type: WalkType, n: int, tables: int = 0, pairs: int = 0, rolled:
             f"2^{work.bit_length() - 1} bit operations, over the guard of "
             f"2^{MAX_FORMULA_WORK.bit_length() - 1}"
         )
+
+
+def _factor_kinds(walk_type: WalkType) -> tuple:
+    """(kinds, r): the constrained kinds, then DimKind.FREE for e^{r x} when r > 0."""
+    r = walk_type.free_direction_count
+    return walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0), r
 
 
 def _factors(kinds: tuple, r: int, n: int) -> list:
@@ -277,11 +287,6 @@ def _convolve(convolutions: list, n: int) -> list:
     return row
 
 
-def _pairs(factor_count: int, n: int) -> int:
-    """Index pairs of factor_count - 1 convolutions in full up to n."""
-    return max(factor_count - 1, 0) * (n + 1) * (n + 2) // 2
-
-
 def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
@@ -291,20 +296,18 @@ def general_count(walk_type: WalkType, n: int) -> int:
     against Pascal row n.  Raises GuardExceeded, before any work, when the
     estimated work exceeds MAX_FORMULA_WORK.
     """
-    kinds = walk_type.constrained_kinds
-    r = walk_type.free_direction_count
-    # DimKind.FREE stands for e^{r x}.
-    factors = kinds + (DimKind.FREE,) * (r > 0)
+    factors, r = _factor_kinds(walk_type)
+    if len(factors) == 1:
+        _check(walk_type, n, tables=1)
+        return _term(*factors, n, r)
     if len(factors) == 2:
         # The sum steps by 2 over k when a factor has zero odd terms; kinds
         # are sorted, so an excursion or bridge comes first.
-        step = 2 if kinds[0].returns_to_zero else 1
+        step = 2 if factors[0].returns_to_zero else 1
         _check(walk_type, n, rolled=n // step + 1)
         return _rolled_sum(*factors, r, n)
     # One table per dimension at most, plus Pascal row n.
-    _check(walk_type, n, len(kinds) + 1, _pairs(len(factors) - 1, n) + n + 1)
-    if len(factors) == 1:
-        return _term(*factors, n, r)
+    _check(walk_type, n, len(walk_type.constrained_kinds) + 1, full=len(factors) - 2, at_n=1)
     *plan, (_, a, a_even, b, b_even) = _plan(_factors(factors, r, n), n)
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 
@@ -317,10 +320,8 @@ def general_sequence(walk_type: WalkType, n_max: int) -> list:
     A single factor is its own term table.  Raises GuardExceeded like
     general_count.
     """
-    r = walk_type.free_direction_count
-    # DimKind.FREE stands for e^{r x}.
-    kinds = walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0)
-    _check(walk_type, n_max, len(kinds), _pairs(len(kinds), n_max))
+    kinds, r = _factor_kinds(walk_type)
+    _check(walk_type, n_max, len(kinds), full=len(kinds) - 1)
     factors = _factors(kinds, r, n_max)
     plan = _plan(factors, n_max)
     if not plan:

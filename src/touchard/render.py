@@ -41,21 +41,17 @@ def walk_vertices(walk: Walk, walk_type: WalkType) -> list:
     return [(x, y) for y, x in [(0, 0)] + prefix_heights(walk, 2)]
 
 
-def _check_grid(columns: int, rows: int) -> None:
-    points = columns * rows
-    if points > MAX_RENDER_POINTS:
-        raise GuardExceeded(
-            f"the picture spans {columns} x {rows} = {points} grid points, "
-            f"over the guard of {MAX_RENDER_POINTS}"
-        )
-
-
 def _bounds(points: list) -> tuple:
     """(xmin, xmax, ymin, ymax) of the points and the baseline, within the guard."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points] + [0]  # keep the baseline in frame
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    _check_grid(xmax - xmin + 1, ymax - ymin + 1)
+    columns, rows = xmax - xmin + 1, ymax - ymin + 1
+    if columns * rows > MAX_RENDER_POINTS:
+        raise GuardExceeded(
+            f"the picture spans {columns} x {rows} = {columns * rows} grid points, "
+            f"over the guard of {MAX_RENDER_POINTS}"
+        )
     return xmin, xmax, ymin, ymax
 
 
@@ -170,9 +166,9 @@ def render_dyck_ascii(path: DyckPath) -> str:
     if path.length == 0:
         return "(empty path)\n"
     heights = [0] + path.heights()
-    _check_grid(len(heights), max(heights) + 1)
+    top = _bounds(list(enumerate(heights)))[3]
     rows = []
-    for level in range(max(heights), 0, -1):
+    for level in range(top, 0, -1):
         # A step between heights level - 1 and level draws on this row.
         row = ""
         for start, end in zip(heights, heights[1:]):

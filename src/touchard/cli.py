@@ -163,6 +163,8 @@ def _cmd_verify(args) -> int:
 
     limits = _limits(args)
     if args.table3:
+        if args.type:
+            raise CliError("verify takes --table3 or --type, not both")
         report = catalog.verify_table3(args.n_max, limits)
     else:
         if not args.type:

@@ -37,22 +37,23 @@ dimensions and no free one, among them both sums of the paper: ae
 general_count with three or more factors, and general_sequence with two
 or more, convolve term tables rolled by the same ratios:
 (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  The factors are the
-dimensions in sorted order, then e^{r x} when r > 0, and _plan turns
-them into one list of convolutions.  Two dimensions of one kind share
-one table, and their product is a square whose terms k and m - k are
-equal: it sums the pairs with k < m - k, doubles them and adds the
-centre term, half the index pairs of a product of two tables.  The list
-squares each repeated kind first and then chains the squares and the
-remaining factors left to right.  _convolve fills every convolution in
-one pass over m, against one Pascal row per m.  general_sequence runs
-the whole list and returns every count 0..n.  general_count runs all but
-the last convolution and evaluates that one at index n alone, against
-Pascal row n.  So ccc is C^2 in full and one dot with C at n; cccc is
-C^2 and a square of C^2 at n; aabb is A^2, B^2 and one dot; aae is A^2
-and one dot with e^{r x}.  With s distinct squares and u squares and
-single factors before the last, that is about s (n+1)(n+2)/4 +
-(u - 1)(n+1)(n+2)/2 + (n + 1) index pairs, where a sum over step
-allocations visits C(n + d, d) allocations for d constrained dimensions.
+dimensions in sorted order, then e^{r x} when r > 0, and _factors walks
+them once, kind by kind: it rolls one table per distinct kind and plans
+one list of convolutions.  Two dimensions of one kind share that table,
+and their product is a square whose terms k and m - k are equal: it sums
+the pairs with k < m - k, doubles them and adds the centre term, half
+the index pairs of a product of two tables.  The list squares each
+repeated kind first and then chains the squares and the remaining
+factors left to right.  _convolve fills every convolution in one pass
+over m, against one Pascal row per m.  general_sequence runs the whole
+list and returns every count 0..n.  general_count runs all but the last
+convolution and evaluates that one at index n alone, against Pascal row
+n.  So ccc is C^2 in full and one dot with C at n; cccc is C^2 and a
+square of C^2 at n; aabb is A^2, B^2 and one dot; aae is A^2 and one dot
+with e^{r x}.  With s distinct squares and u squares and single factors
+before the last, that is about s (n+1)(n+2)/4 + (u - 1)(n+1)(n+2)/2 +
+(n + 1) index pairs, where a sum over step allocations visits
+C(n + d, d) allocations for d constrained dimensions.
 
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
@@ -219,13 +220,31 @@ def _factor_kinds(walk_type: WalkType) -> tuple:
     return walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0), r
 
 
-def _factors(kinds: tuple, r: int, n: int) -> list:
-    """(term table, even_only) per factor kind, DimKind.FREE standing for e^{r x}.
+def _factors(kinds: tuple, r: int, n: int) -> tuple:
+    """(plan, product): convolutions (out, a, a_even, b, b_even) and the table they fill.
 
-    Factors of one kind share one table.
+    Kinds are sorted with DimKind.FREE last, so the factors of one kind sit
+    side by side and share one term table.  Each two of them make one
+    square, listed first; a kind that occurs four times is two units of the
+    same square.  The chain then multiplies the units left to right, and
+    its last out is the product.  A single factor is its own product, with
+    an empty plan.
     """
-    tables = {kind: _kind_terms(kind, r, n) for kind in set(kinds)}
-    return [(tables[kind], kind.returns_to_zero) for kind in kinds]
+    plan, units = [], []
+    for kind, group in groupby(kinds):
+        count = len(list(group))
+        table, even = _kind_terms(kind, r, n), kind.returns_to_zero
+        if count > 1:
+            square = [0] * (n + 1)
+            plan.append((square, table, even, table, even))
+            units += [(square, even)] * (count // 2)
+        units += [(table, even)] * (count % 2)
+    product, product_even = units[0]
+    for table, even in units[1:]:
+        out = [0] * (n + 1)
+        plan.append((out, product, product_even, table, even))
+        product, product_even = out, product_even and even
+    return plan, product
 
 
 def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int:
@@ -244,31 +263,6 @@ def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int
     if a is b:
         total = 2 * total + (0 if m % 2 else row[m // 2] * a[m // 2] ** 2)
     return total
-
-
-def _plan(factors: list, n: int) -> list:
-    """Convolutions (out, a, a_even, b, b_even) whose last out is the product.
-
-    Factors of one kind sit side by side, and each two of them make one
-    square, listed first; a kind that occurs four times is two units of
-    the same square.  The chain then multiplies the units left to right.
-    A single factor needs no convolution.
-    """
-    plan, units = [], []
-    for _, group in groupby(factors, key=lambda factor: id(factor[0])):
-        group = list(group)
-        table, even = group[0]
-        if len(group) > 1:
-            square = [0] * (n + 1)
-            plan.append((square, table, even, table, even))
-            units += [(square, even)] * (len(group) // 2)
-        units += group[len(group) // 2 * 2 :]
-    product, product_even = units[0]
-    for table, even in units[1:]:
-        out = [0] * (n + 1)
-        plan.append((out, product, product_even, table, even))
-        product, product_even = out, product_even and even
-    return plan
 
 
 def _convolve(convolutions: list, n: int) -> list:
@@ -308,26 +302,24 @@ def general_count(walk_type: WalkType, n: int) -> int:
         return _rolled_sum(*factors, r, n)
     # One table per dimension at most, plus Pascal row n.
     _check(walk_type, n, len(walk_type.constrained_kinds) + 1, full=len(factors) - 2, at_n=1)
-    *plan, (_, a, a_even, b, b_even) = _plan(_factors(factors, r, n), n)
+    *plan, (_, a, a_even, b, b_even) = _factors(factors, r, n)[0]
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 
 
 def general_sequence(walk_type: WalkType, n_max: int) -> list:
     """Master-summation counts for every length 0..n_max.
 
-    Runs one convolution list (_plan) in one pass over the lengths: each
-    repeated kind squared first, then the chain over the rest and e^{r x}.
-    A single factor is its own term table.  Raises GuardExceeded like
-    general_count.
+    Runs the convolution list that _factors plans in one pass over the
+    lengths: each repeated kind squared first, then the chain over the rest
+    and e^{r x}.  A single factor is its own term table, with no list to
+    run.  Raises GuardExceeded like general_count.
     """
     kinds, r = _factor_kinds(walk_type)
     _check(walk_type, n_max, len(kinds), full=len(kinds) - 1)
-    factors = _factors(kinds, r, n_max)
-    plan = _plan(factors, n_max)
-    if not plan:
-        return factors[0][0]
-    _convolve(plan, n_max)
-    return plan[-1][0]
+    plan, product = _factors(kinds, r, n_max)
+    if plan:
+        _convolve(plan, n_max)
+    return product
 
 
 def _require_even(n: int, what: str) -> None:

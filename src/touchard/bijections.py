@@ -12,8 +12,9 @@ flat colours exhibits the same objects as two-coloured Motzkin paths.
 A Dyck word is the N/S token string of a type-a walk, so enumerate_dyck
 reads the brute-force route over type a, and parse_dyck reads Dyck text
 as type-a walk text: the same tokenizer folds ASCII case and skips
-whitespace.  Both build paths of words already checked, which
-DyckPath(word) would scan again.
+whitespace.  These two and touchard_to_dyck, whose ae-walk is validated
+first, build paths of words already checked, which DyckPath(word) would
+scan again.
 """
 
 import enum
@@ -119,7 +120,7 @@ def touchard_to_dyck(walk: Walk) -> DyckPath:
     """Map a valid ae-walk of length n to its Dyck path of length 2n + 2."""
     _require_ae_walk(walk)
     pairs = "".join(_STEP_TO_PAIR[step] for step in walk.steps)
-    return DyckPath("N" + pairs + "S")
+    return DyckPath._make(("N" + pairs + "S",))
 
 
 class MotzkinStep(enum.Enum):

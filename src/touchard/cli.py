@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: count, sequence, enumerate, validate, dyck, verify, render.
-Exit codes: 0 on success, 1 on input errors (including guard refusals
-and exhausted recursion depth or memory), 2 when verification finds a
-golden mismatch.
+Exit codes: 0 on success, 1 on input errors (including guard refusals,
+the DP's at the recursion limit among them, and exhausted memory), 2 when
+verification finds a golden mismatch.
 """
 
 import argparse
@@ -84,12 +84,13 @@ def _cmd_count(args) -> int:
     walk_type = canonicalize_type(args.type)
     if args.n < 0:
         raise CliError("--n must be >= 0")
+    limits = _limits(args)
     if args.method == "formula":
         value = general_count(walk_type, args.n)
     elif args.method == "brute":
-        value = sum(1 for _ in _valid_walks(walk_type, args.n, _limits(args)))
+        value = sum(1 for _ in _valid_walks(walk_type, args.n, limits))
     else:
-        value = count_dp(walk_type, args.n, _limits(args))
+        value = count_dp(walk_type, args.n, limits)
     print(value)
     return 0
 
@@ -98,10 +99,11 @@ def _cmd_sequence(args) -> int:
     walk_type = canonicalize_type(args.type)
     if args.max_n < 0:
         raise CliError("--max-n must be >= 0")
+    limits = _limits(args)
     if args.method == "formula":
         values = general_sequence(walk_type, args.max_n)
     else:
-        values = sequence_dp(walk_type, args.max_n, _limits(args))
+        values = sequence_dp(walk_type, args.max_n, limits)
     _charge_output(values)
     if args.format == "json":
         import json
@@ -184,6 +186,8 @@ def _cmd_render(args) -> int:
     from . import render
 
     if args.dyck:
+        if args.type:
+            raise CliError("render takes --dyck or --type, not both")
         path = parse_dyck(args.text)
         output = (
             render.render_dyck_svg(path)

@@ -98,6 +98,8 @@ def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) 
     """Exact count of valid length-n walks via memoized recursion.
 
     The memo is local to this call (see _completions) and freed on return.
+    Raises GuardExceeded past limits.max_dp_states, MAX_DP_BITS or the
+    interpreter's recursion limit (the DP recurses once per step).
     """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
@@ -112,7 +114,8 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
     ones' completion counts, and every length reuses the moves each
     interned heights id built once.  Dead states are pruned as in
     _completions; for a parity-locked type (only excursions and bridges)
-    every odd length counts 0 and adds no memo state.
+    every odd length counts 0 and adds no memo state.  Raises
+    GuardExceeded as count_dp does, also at the recursion limit.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -158,9 +161,12 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     parity from the root on (the parity lock), and an odd length counts
     0 without visiting any state.
 
-    rec refers to itself through its closure cell; the finally clause
-    breaks that cycle, so the memo is freed by reference counting on
-    return, also when the guard or the recursion limit raises.
+    rec calls itself once per step, so a length near the interpreter's
+    recursion limit raises RecursionError, which is refused as
+    GuardExceeded with the interpreter's text.  rec refers to itself
+    through its closure cell; the finally clause breaks that cycle, so
+    the memo is freed by reference counting on return, also when a guard
+    or the recursion limit raises.
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
@@ -239,5 +245,7 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
             else:
                 totals.append(rec(n, 0))
         return totals
+    except RecursionError as exc:
+        raise GuardExceeded(str(exc)) from None
     finally:
         rec = None

@@ -34,8 +34,27 @@ types with at most one constrained dimension or with two constrained
 dimensions and no free one, among them both sums of the paper: ae
 (Touchard's identity) and ce.
 
-general_count with three or more factors, and general_sequence with two
-or more, convolve term tables rolled by the same ratios:
+Nine of those two-factor types have counts that are themselves
+hypergeometric in each parity class of n: the six constrained pairs aa,
+ab, ac, bb, bc and cc, and ae, be and ce, a constrained kind with a pool
+of r = 2 free directions.  Each is a group (_GROUPS): its count at m is a
+product form from exactmath, and its EGF coefficient g_m = count / m! is
+g_(m-2) times a quotient of small integers, one per parity class.
+_rolled_sum takes a group as it takes a kind, with a step of 2 over each
+parity class whose terms are not all 0, each class seeded by its first
+term.  So general_count splits a type of three or more factors into two
+factors, at least one a group, and sums their product in one pass of
+about n + 1 rolled terms: (pair) single, as ccc = (cc) c; (pair) e^{r x},
+as acd = (ac) e^{x}; (pair) (pair), as cccc = (cc) (cc); and
+(x e^{2x}) (pair), as abce = (ae) (bc).  That covers 65 of the 75 types
+of three or more factors.  e^{x} and one kind make no group, so the ten
+types of three constrained kinds and one d (aaad to cccd) still
+convolve.  The two-factor types keep their sum over two kinds, so the
+closed forms that catalog.verify sets beside them stay independent of
+the groups' product forms.
+
+general_sequence with two or more factors, and general_count for those
+ten types, convolve term tables rolled by the kinds' ratios:
 (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  The factors are the
 dimensions in sorted order, then e^{r x} when r > 0, and _factors walks
 them once, kind by kind: it rolls one table per distinct kind and plans
@@ -46,14 +65,14 @@ the index pairs of a product of two tables.  The list squares each
 repeated kind first and then chains the squares and the remaining
 factors left to right.  _convolve fills every convolution in one pass
 over m, against one Pascal row per m.  general_sequence runs the whole
-list and returns every count 0..n.  general_count runs all but the last
+list and returns every count 0..n: ccc is C^2 and C^2 C in full; cccc is
+C^2 and a square of C^2.  general_count runs all but the last
 convolution and evaluates that one at index n alone, against Pascal row
-n.  So ccc is C^2 in full and one dot with C at n; cccc is C^2 and a
-square of C^2 at n; aabb is A^2, B^2 and one dot; aae is A^2 and one dot
-with e^{r x}.  With s distinct squares and u squares and single factors
-before the last, that is about s (n+1)(n+2)/4 + (u - 1)(n+1)(n+2)/2 +
-(n + 1) index pairs, where a sum over step allocations visits
-C(n + d, d) allocations for d constrained dimensions.
+n: aacd is A^2, A^2 C in full and one dot with e^{x} at n.  With s
+distinct squares and u squares and single factors before the last, that
+is about s (n+1)(n+2)/4 + (u - 1)(n+1)(n+2)/2 + (n + 1) index pairs,
+where a sum over step allocations visits C(n + d, d) allocations for d
+constrained dimensions.
 
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
@@ -66,11 +85,14 @@ to 32 767.  A count of h >= 3 factors is a table per constrained
 dimension plus Pascal row n, h - 2 convolutions in full and one at n
 alone; a sequence of h factors is h tables and h - 1 convolutions in
 full.  A square is charged as a full product: cccc is refused past
-n = 1 124.
+n = 1 124.  A grouped count is still charged as the tables and
+convolutions it replaces, so it is overcharged: cccc at 1 124 takes
+about 5 ms.
 """
 
 from itertools import groupby, repeat
 from operator import add, floordiv, mul
+from typing import Callable, NamedTuple
 
 # All five names stay module attributes because touchbench/tracer.py wraps
 # them here by name.
@@ -109,23 +131,103 @@ def _shift(ks: range, c: int) -> range:
     return range(ks.start + c, ks.stop + c, ks.step)
 
 
-def _ratios(kind: DimKind, r: int, ks: range) -> tuple:
+class _Group(NamedTuple):
+    """Two factors taken as one: a two-factor type whose counts are hypergeometric.
+
+    count(m) is the type's count at length m, a product form from
+    exactmath.  even and odd are pairs of functions (num, den) with
+    g_(m + 2) / g_m = num(m) / den(m) for even and for odd m, where
+    g_m = count(m) / m! is the group's EGF coefficient.  odd is None when
+    every odd term is 0, and returns_to_zero then says so, as for a kind.
+    """
+
+    count: Callable
+    even: tuple
+    odd: tuple | None
+
+    @property
+    def returns_to_zero(self) -> bool:
+        return self.odd is None
+
+
+# The nine groups, by the letters of their two-factor types.  Each ratio is
+# count(m + 2) / ((m + 1)(m + 2) count(m)) of the product form.  ae and ce
+# are the paper's two sums, aa is Gouyou-Beauchamps (1986), ab is
+# ab_closed (vandermonde_chain proves it), bb and be are classical, and cc
+# is Guy, Krattenthaler and Sagan ("Lattice paths, reflections, and
+# dimension-changing bijections", 1992).  ac and bc were found by
+# elimination (Petkovsek, Wilf and Zeilberger, A = B, 1996), and
+# tests/test_pair_groups.py checks both against the master summation to
+# m = 1200.  ae, be and ce pair a kind with e^{2x}: they stand for a pool
+# of r = 2 free directions only, and one ratio serves both parities.  Like
+# _term, each count calls exactmath through this module's names when it
+# runs, not through references taken at import.
+_AE = (lambda m: 4 * (2 * m + 3) * (2 * m + 5), lambda m: (m + 1) * (m + 2) * (m + 3) * (m + 4))
+_BE = (lambda m: 4 * (2 * m + 1) * (2 * m + 3), lambda m: ((m + 1) * (m + 2)) ** 2)
+_CE = (lambda m: 4 * (2 * m + 3) * (2 * m + 5), lambda m: (m + 1) * (m + 2) ** 2 * (m + 3))
+_GROUPS = {
+    "aa": _Group(
+        lambda m: 0 if m % 2 else catalan(m // 2) * catalan(m // 2 + 1),
+        (lambda m: 16 * (m + 3), lambda m: (m + 2) * (m + 4) * (m + 6)),
+        None,
+    ),
+    "ab": _Group(
+        lambda m: 0 if m % 2 else catalan(m // 2) * binomial(m + 1, m // 2),
+        (lambda m: 16 * (m + 3), lambda m: (m + 2) * (m + 4) ** 2),
+        None,
+    ),
+    "ac": _Group(
+        lambda m: catalan((m + 1) // 2) * binomial(m // 2 * 2 + 1, m // 2),
+        (lambda m: 16 * (m + 3), lambda m: (m + 2) * (m + 4) ** 2),
+        (lambda m: 16 * (m + 2), lambda m: (m + 1) * (m + 3) * (m + 5)),
+    ),
+    "bb": _Group(
+        lambda m: 0 if m % 2 else central_binomial_even(m // 2) ** 2,
+        (lambda m: 16 * (m + 1), lambda m: (m + 2) ** 3),
+        None,
+    ),
+    "bc": _Group(
+        lambda m: central_binomial_any(m) ** 2,
+        (lambda m: 16 * (m + 1), lambda m: (m + 2) ** 3),
+        (lambda m: 16 * (m + 2), lambda m: (m + 1) * (m + 3) ** 2),
+    ),
+    "cc": _Group(
+        lambda m: central_binomial_any(m) * binomial(m + 1, (m + 1) // 2),
+        (lambda m: 16 * (m + 3), lambda m: (m + 2) ** 2 * (m + 4)),
+        (lambda m: 16 * (m + 2), lambda m: (m + 1) * (m + 3) ** 2),
+    ),
+    "ae": _Group(lambda m: catalan(m + 1), _AE, _AE),
+    "be": _Group(lambda m: central_binomial_even(m), _BE, _BE),
+    "ce": _Group(lambda m: binomial(2 * m + 1, m), _CE, _CE),
+}
+
+
+def _step(factor) -> int:
+    """The step of a factor's ratios: 2 for a group, an excursion or a bridge, 1 otherwise."""
+    return 2 if factor.returns_to_zero or isinstance(factor, _Group) else 1
+
+
+def _ratios(factor, r: int, ks: range) -> tuple:
     """Iterables (nums, dens) with e_(k + step) / e_k = num / den for k in ks.
 
-    e_k = term k / k! is the factor's EGF coefficient.  The step is 2 for
-    an excursion or bridge, whose odd terms are 0, and 1 otherwise.
-    DimKind.FREE stands for the pool e^{r x} of all r unrestricted
-    directions.
+    e_k is the factor's EGF coefficient: term k / k! of a kind, or a
+    group's count at k over k!.  The step (_step) is 2 for a group, whose
+    ks are all of one parity, and for an excursion or bridge, whose odd
+    terms are 0.  DimKind.FREE stands for the pool e^{r x} of all r
+    unrestricted directions.
     """
-    if kind is DimKind.EXCURSION:
+    if factor is DimKind.EXCURSION:
         # e_(2i) = 1 / (i! (i + 1)!), so the ratio is 1 / ((i + 1)(i + 2)) with k = 2i.
         return repeat(4, len(ks)), map(mul, _shift(ks, 2), _shift(ks, 4))
-    if kind is DimKind.BRIDGE:
+    if factor is DimKind.BRIDGE:
         # e_(2i) = 1 / (i! i!), so the ratio is 1 / (i + 1)^2.
         return repeat(4, len(ks)), map(mul, _shift(ks, 2), _shift(ks, 2))
-    if kind is DimKind.MEANDER:
+    if factor is DimKind.MEANDER:
         # e_k = 1 / (floor(k / 2)! ceil(k / 2)!), so the ratio is 1 / floor((k + 2) / 2).
         return repeat(1, len(ks)), map(floordiv, _shift(ks, 2), repeat(2))
+    if isinstance(factor, _Group):
+        num, den = factor.odd if ks.start % 2 else factor.even
+        return map(num, ks), map(den, ks)
     # e_k = r^k / k!
     return repeat(r, len(ks)), _shift(ks, 1)
 
@@ -151,40 +253,49 @@ def _kind_terms(kind: DimKind, r: int, n: int) -> list:
     return terms
 
 
-def _term(kind: DimKind, k: int, r: int) -> int:
-    """Term k of one factor's EGF, from exactmath."""
-    if kind is DimKind.EXCURSION:
+def _term(factor, k: int, r: int) -> int:
+    """Term k of one factor's EGF, or a group's count at k, from exactmath."""
+    if factor is DimKind.EXCURSION:
         return 0 if k % 2 else catalan(k // 2)
-    if kind is DimKind.BRIDGE:
+    if factor is DimKind.BRIDGE:
         return 0 if k % 2 else central_binomial_even(k // 2)
-    if kind is DimKind.MEANDER:
+    if factor is DimKind.MEANDER:
         return central_binomial_any(k)
+    if isinstance(factor, _Group):
+        return factor.count(k)
     return r**k
 
 
-def _rolled_sum(a: DimKind, b: DimKind, r: int, n: int) -> int:
+def _rolled_sum(a, b, r: int, n: int) -> int:
     """sum_k binomial(n, k) a_k b_(n-k), each nonzero term rolled from the one before.
 
-    Term k is n! e_k f_(n-k) for the EGF coefficients e of a and f of b,
-    so one step multiplies it by a's ratio at k and divides it by b's
-    ratio at n - k - step: small integers, and no binomial to carry.  Kinds
-    are sorted and e^{r x} comes last, so a is an excursion or bridge
-    whenever b is, and k steps by 2 over even k whenever a factor has zero
-    odd terms.  The sum starts from term 0, which is b_n.
+    a and b are kinds or groups.  Term k is n! e_k f_(n-k) for the EGF
+    coefficients e of a and f of b, so one step multiplies it by a's ratio
+    at k and divides it by b's ratio at n - k - step: small integers, and
+    no binomial to carry.  Kinds are sorted, e^{r x} comes last and a
+    group comes first, so a steps by 2 whenever b does, and the sum steps
+    by a's step.  With a step of 2 it runs over each parity class of k
+    whose terms are not all 0: not odd k when a's odd terms are 0, nor odd
+    n - k when b's are.  A class starts from its first term, from
+    exactmath: b_n at k = 0 and n a_1 b_(n-1) at k = 1.
     """
-    b_step = 2 if b.returns_to_zero else 1
-    if b_step == 2 and n % 2:
-        return 0
-    step = 2 if a.returns_to_zero else 1
-    ks = range(0, n - step + 1, step)
-    js = range(n - step, -1, -step)  # n - k - step, b's index after the step from k
-    nums, dens = _ratios(a, r, ks)
-    # f_j / f_(j + step) inverts b's ratio at j, and at j + 1 as well when
-    # b steps by 1 and the sum by 2.
-    for shift in range(0, step, b_step):
-        b_nums, b_dens = _ratios(b, r, _shift(js, shift))
-        nums, dens = map(mul, nums, b_dens), map(mul, dens, b_nums)
-    return sum(_roll(_term(b, n, r), nums, dens))
+    step, b_step = _step(a), _step(b)
+    total = 0
+    # Odd k has nonzero terms only when a is a group with odd terms.
+    for first in (0,) if a.returns_to_zero or step == 1 or not n else (0, 1):
+        if (n - first) % 2 and b.returns_to_zero:
+            continue
+        ks = range(first, n - step + 1, step)
+        js = range(n - first - step, -1, -step)  # n - k - step, b's index after the step from k
+        nums, dens = _ratios(a, r, ks)
+        # f_j / f_(j + step) inverts b's ratio at j, and at j + 1 as well when
+        # b steps by 1 and the sum by 2.
+        for shift in range(0, step, b_step):
+            b_nums, b_dens = _ratios(b, r, _shift(js, shift))
+            nums, dens = map(mul, nums, b_dens), map(mul, dens, b_nums)
+        term = n * _term(a, 1, r) * _term(b, n - 1, r) if first else _term(b, n, r)
+        total += sum(_roll(term, nums, dens))
+    return total
 
 
 def _check(walk_type: WalkType, n: int, tables=0, full=0, at_n=0, rolled=0) -> None:
@@ -281,14 +392,37 @@ def _convolve(convolutions: list, n: int) -> list:
     return row
 
 
+def _groups(kinds: tuple, r: int):
+    """Two factors for _rolled_sum whose product is that of kinds, or None.
+
+    kinds are three or four factors, sorted with DimKind.FREE (letter e,
+    whatever r is) last.  The first two make a group, and the rest is one
+    kind, e^{r x} or a second group: (pair) single, (pair) e^{r x} or
+    (pair) (pair).  Three constrained kinds and e^{2x} make (x e^{2x})
+    (pair).  Three constrained kinds and e^{x} make no two groups, since
+    e^{x} with one kind is not hypergeometric: those ten types return None.
+    """
+    letters = "".join(kind.value for kind in kinds)
+    if len(letters) == 3:
+        return _GROUPS[letters[:2]], kinds[2]
+    if letters[3] != "e":
+        return _GROUPS[letters[:2]], _GROUPS[letters[2:]]
+    if r == 2:
+        return _GROUPS[letters[0] + "e"], _GROUPS[letters[1:3]]
+    return None
+
+
 def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
     One factor gives its term n and two factors a rolled sum (_rolled_sum),
-    without a term table.  Three or more run the convolution list of
+    without a term table.  Three or more make two groups (_groups) when
+    they can, and their product is again one rolled sum.  The ten types of
+    three constrained kinds and one d run the convolution list of
     general_sequence but the last, and evaluate that one at index n alone,
     against Pascal row n.  Raises GuardExceeded, before any work, when the
-    estimated work exceeds MAX_FORMULA_WORK.
+    estimated work exceeds MAX_FORMULA_WORK; a grouped count is charged as
+    the tables and convolutions it replaces.
     """
     factors, r = _factor_kinds(walk_type)
     if len(factors) == 1:
@@ -300,8 +434,12 @@ def general_count(walk_type: WalkType, n: int) -> int:
         step = 2 if factors[0].returns_to_zero else 1
         _check(walk_type, n, rolled=n // step + 1)
         return _rolled_sum(*factors, r, n)
-    # One table per dimension at most, plus Pascal row n.
+    # One table per dimension at most, plus Pascal row n: the convolution's
+    # charge, kept for grouped counts too.
     _check(walk_type, n, len(walk_type.constrained_kinds) + 1, full=len(factors) - 2, at_n=1)
+    groups = _groups(factors, r)
+    if groups:
+        return _rolled_sum(*groups, r, n)
     *plan, (_, a, a_even, b, b_even) = _factors(factors, r, n)[0]
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 

@@ -1,4 +1,8 @@
-"""The formula guard charges a two-factor count for its rolled terms, and a convolution as before."""
+"""The formula guard charges a two-factor count for its rolled terms, and a convolution as before.
+
+A count of two groups is one rolled sum too, but it is still charged as
+the convolution it replaces.
+"""
 
 from math import comb
 
@@ -36,6 +40,7 @@ def test_convolution_guard_still_stops_cccc_after_1124(monkeypatch):
         raise Admitted
 
     monkeypatch.setattr(closedforms, "_factors", admitted)
+    monkeypatch.setattr(closedforms, "_rolled_sum", admitted)
     cccc = canonicalize_type("cccc")
     with pytest.raises(Admitted):
         general_count(cccc, 1124)

@@ -10,12 +10,13 @@ import argparse
 import os
 import sys
 
-# catalog, render and json load inside the subcommands that use them, so
-# that the other subcommands start without them.  Every name bound below
-# stays a module attribute that callers may wrap (touchbench/tracer.py
-# does, step_alphabet included).
-from .bijections import dyck_to_touchard, parse_dyck, touchard_to_dyck, TYPE_AE
-from .closedforms import general_count, general_sequence
+# Start-up is most of a small request, so only oracle and walks load with
+# this module.  closedforms (and exactmath with it) loads on the first
+# --method formula request, bijections on the first dyck or render --dyck,
+# and catalog, render and json inside the subcommands that use them.
+# Every name bound below stays a module attribute that callers may wrap
+# (touchbench/tracer.py does, step_alphabet included); the _cmd_ functions
+# call whatever is bound there when they run.
 from .oracle import (
     DEFAULT_LIMITS,
     GuardExceeded,
@@ -33,6 +34,30 @@ from .walks import (
     validate,
     walk_text,
 )
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for touchard.<module>.<name> that loads the module on its first call.
+
+    Each call looks the name up in its module, so the stand-in never holds
+    a stale copy of what is bound there.  __import__, unlike
+    importlib.import_module, goes through the import statement's own path,
+    so the load shows in python -X importtime.
+    """
+    owner = f"{__package__}.{module}"
+
+    def call(*args, **kwargs):
+        return getattr(__import__(owner, fromlist=(name,)), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+general_count = _on_first_call("closedforms", "general_count")
+general_sequence = _on_first_call("closedforms", "general_sequence")
+dyck_to_touchard = _on_first_call("bijections", "dyck_to_touchard")
+parse_dyck = _on_first_call("bijections", "parse_dyck")
+touchard_to_dyck = _on_first_call("bijections", "touchard_to_dyck")
 
 ENV_MAX_STATES = "WALKS_MAX_STATES"
 
@@ -152,6 +177,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dyck(args) -> int:
+    from .bijections import TYPE_AE
+
     if args.mode == "encode":
         walk = parse_walk(args.text, TYPE_AE)
         print(touchard_to_dyck(walk).word)

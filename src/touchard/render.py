@@ -11,9 +11,13 @@ length of the walk, so pictures over MAX_RENDER_POINTS grid points are
 refused with GuardExceeded before any drawing.
 """
 
-from .bijections import DyckPath
+from typing import TYPE_CHECKING
+
 from .oracle import GuardExceeded
 from .walks import Walk, WalkType, prefix_heights, validate
+
+if TYPE_CHECKING:  # only for annotations, so that render --type loads no bijections
+    from .bijections import DyckPath
 
 GRID_UNIT = 40
 MARGIN = 30
@@ -162,7 +166,7 @@ def render_walk_svg(walk: Walk, walk_type: WalkType) -> str:
     return _svg_picture(walk_vertices(walk, walk_type), dots=((0, 0),))
 
 
-def render_dyck_ascii(path: DyckPath) -> str:
+def render_dyck_ascii(path: "DyckPath") -> str:
     if path.length == 0:
         return "(empty path)\n"
     heights = [0] + path.heights()
@@ -178,5 +182,5 @@ def render_dyck_ascii(path: DyckPath) -> str:
     return "\n".join(rows) + "\n"
 
 
-def render_dyck_svg(path: DyckPath) -> str:
+def render_dyck_svg(path: "DyckPath") -> str:
     return _svg_picture(list(enumerate([0] + path.heights())))

@@ -77,3 +77,104 @@ def test_light_subcommands_skip_heavy_modules(argv):
 def test_subcommands_load_their_modules(argv, module):
     loaded = loaded_after(f"from touchard import cli\ncli.main({json.dumps(argv)})")
     assert module in loaded
+
+
+DEFERRED = ("touchard.closedforms", "touchard.exactmath", "touchard.bijections")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--type", "ae", "--n", "4"],
+        ["sequence", "--type", "ae", "--max-n", "3"],
+        ["enumerate", "--type", "ae", "--n", "2"],
+        ["validate", "--type", "ae", "NS"],
+        ["render", "NEWS", "--type", "ae"],
+        ["count", "--type", "az", "--n", "4"],
+    ],
+)
+def test_default_routes_skip_closedforms_and_bijections(argv):
+    loaded = loaded_after(f"from touchard import cli\ncli.main({json.dumps(argv)})")
+    assert sorted(loaded.intersection(DEFERRED)) == []
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["count", "--type", "ae", "--n", "4", "--method", "formula"], "touchard.closedforms"),
+        (["sequence", "--type", "ae", "--max-n", "3", "--method", "formula"], "touchard.closedforms"),
+        (["dyck", "encode", "NNSS"], "touchard.bijections"),
+        (["dyck", "decode", "NNSS"], "touchard.bijections"),
+        (["render", "NNSS", "--dyck"], "touchard.bijections"),
+    ],
+)
+def test_deferred_modules_load_on_first_use(argv, module):
+    loaded = loaded_after(f"from touchard import cli\ncli.main({json.dumps(argv)})")
+    assert module in loaded
+
+
+# Each deferred name of cli, its owner module, and a request that calls it.
+STAND_INS = [
+    ("general_count", "touchard.closedforms", ["count", "--type", "ce", "--n", "5", "--method", "formula"]),
+    ("general_sequence", "touchard.closedforms", ["sequence", "--type", "ae", "--max-n", "4", "--method", "formula"]),
+    ("dyck_to_touchard", "touchard.bijections", ["dyck", "decode", "NNSNSS"]),
+    ("parse_dyck", "touchard.bijections", ["render", "NNSNSS", "--dyck"]),
+    ("touchard_to_dyck", "touchard.bijections", ["dyck", "encode", "NEWNSS"]),
+]
+
+WRAP_AND_RESTORE = """
+import contextlib, io, json, sys
+import pytest
+from touchard import cli
+
+name, owner, argv = {args}
+
+
+def run():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    return status, out.getvalue()
+
+
+stand_in = getattr(cli, name)
+facts = {{"loaded_before": owner in sys.modules, "calls": 0}}
+
+
+def counted(*args, **kwargs):
+    facts["calls"] += 1
+    return stand_in(*args, **kwargs)
+
+
+with pytest.MonkeyPatch.context() as patch:
+    patch.setattr(cli, name, counted)
+    facts["wrapped"] = run()
+facts["restored"] = getattr(cli, name) is stand_in
+facts["loaded_after"] = owner in sys.modules
+facts["plain"] = run()
+sys.stdout.write(json.dumps(facts))
+"""
+
+
+@pytest.mark.parametrize("name, owner, argv", STAND_INS)
+def test_deferred_names_can_be_wrapped_and_restored(name, owner, argv):
+    """The contract a tracer relies on: getattr and setattr on cli's names.
+
+    The name exists before its module loads, cli.main calls what is bound
+    there when it runs, and undoing the patch puts the original back.
+    """
+    script = WRAP_AND_RESTORE.format(args=repr((name, owner, argv)))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    facts = json.loads(result.stdout)
+    assert facts["loaded_before"] is False
+    assert facts["calls"] == 1
+    assert facts["restored"] is True
+    assert facts["loaded_after"] is True
+    status, output = facts["plain"]
+    assert status == 0 and output.strip()
+    assert facts["wrapped"] == facts["plain"]

@@ -10,8 +10,6 @@ so `import touchard` alone imports no submodule and each CLI subcommand
 loads only the modules it runs.
 """
 
-import importlib
-
 _SUBMODULE_NAMES = {
     "bijections": (
         "DyckPath",
@@ -97,7 +95,9 @@ def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # __import__, unlike importlib.import_module, goes through the import
+    # statement's own path, so the load shows in python -X importtime.
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
     globals()[name] = value
     return value
 

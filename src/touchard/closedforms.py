@@ -14,11 +14,15 @@ and a walk of the type interleaves one walk per factor, so
 
     count(type, n) = n! [x^n] e^{r x} * prod over constrained dims F_kind(x).
 
-Every factor is hypergeometric: its EGF coefficient e_k = term k / k!
-is the nonzero one before it (two indices back for an excursion or
-bridge, one back otherwise) times a quotient of small integers.  _ratios
-writes that quotient once per kind, and every route below rolls terms
-by it.
+Every factor is hypergeometric: its EGF coefficient e_m = term m / m!
+is e_(m-2) times a ratio of small integers, one per parity class of m,
+and for a meander or e^{r x}, whose terms are never 0, e_(m-1) times
+one.  Each ratio is data (_KIND_RATIOS, _one_step, _GROUPS): a constant
+times linear factors c m + o over a constant times linear factors, and
+over one parity class each factor runs through a range.  An excursion's
+is 4 / ((m + 2)(m + 4)), a meander's 2 / (m + 2) for even m and
+2 / (m + 1) for odd m, and e^{r x}'s r / (m + 1).  Every route below
+rolls terms by these ratios.
 
 A type with one or two factors needs no term table.  One factor's count
 is its term n, from exactmath.  Two factors a and b make the single sum
@@ -26,13 +30,18 @@ is its term n, from exactmath.  Two factors a and b make the single sum
     count(type, n) = sum_k binomial(n, k) a_k b_(n-k) = n! sum_k e_k f_(n-k),
 
 whose terms are hypergeometric in k as well (Petkovsek, Wilf and
-Zeilberger, A = B, 1996).  general_count starts from term 0, which is
-b_n, and rolls each next term from the one before with one small-integer
-multiplication and one exact division by a small integer, stepping by 2
-over even k when a factor is an excursion or bridge.  These are the 50
-types with at most one constrained dimension or with two constrained
-dimensions and no free one, among them both sums of the paper: ae
-(Touchard's identity) and ce.
+Zeilberger, A = B, 1996).  general_count sums each parity class of k
+whose terms are not all 0, from its first term (b_n at k = 0), rolling
+term k + 2 from term k: a's ratio at k times b's inverted at n - k - 2.
+Two factors whose terms are never 0 (a meander and a meander or e^{r x})
+make one class rolled one step at a time, which keeps each divisor near
+n / 2 rather than (n / 2)^2.  _pair plans the steps once per type
+(_plan): the constants fold into one fraction reduced by gcd, and each
+side's linear factors become ranges, so a term costs one multiplication
+by a small integer, one exact division by a small integer and one
+addition.  These are the 50 types with at most one constrained
+dimension or with two constrained dimensions and no free one, among
+them both sums of the paper: ae (Touchard's identity) and ce.
 
 Nine of those two-factor types have counts that are themselves
 hypergeometric in each parity class of n: the six constrained pairs aa,
@@ -40,12 +49,11 @@ ab, ac, bb, bc and cc, and ae, be and ce, a constrained kind with a pool
 of r = 2 free directions.  Each is a group (_GROUPS): its count at m is a
 product form from exactmath, and its EGF coefficient g_m = count / m! is
 g_(m-2) times a quotient of small integers, one per parity class.
-_rolled_sum takes a group as it takes a kind, with a step of 2 over each
-parity class whose terms are not all 0, each class seeded by its first
-term.  So general_count splits a type of three or more factors into two
-factors, at least one a group, and sums their product in one pass of
-about n + 1 rolled terms: (pair) single, as ccc = (cc) c; (pair) e^{r x},
-as acd = (ac) e^{x}; (pair) (pair), as cccc = (cc) (cc); and
+_pair takes a group as it takes a kind.  So general_count splits a type
+of three or more factors into two factors, at least one a group, and
+sums their product in one pass of about n + 1 rolled terms: (pair)
+single, as ccc = (cc) c; (pair) e^{r x}, as acd = (ac) e^{x}; (pair)
+(pair), as cccc = (cc) (cc); and
 (x e^{2x}) (pair), as abce = (ae) (bc).  That covers 65 of the 75 types
 of three or more factors.  e^{x} and one kind make no group, so the ten
 types of three constrained kinds and one d (aaad to cccd) still
@@ -54,7 +62,8 @@ closed forms that catalog.verify sets beside them stay independent of
 the groups' product forms.
 
 general_sequence with two or more factors, and general_count for those
-ten types, convolve term tables rolled by the kinds' ratios:
+ten types, convolve term tables, each parity class rolled by its kind's
+ratio as _kind_plan plans it once:
 (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  The factors are the
 dimensions in sorted order, then e^{r x} when r > 0, and _factors walks
 them once, kind by kind: it rolls one table per distinct kind and plans
@@ -90,8 +99,10 @@ convolutions it replaces, so it is overcharged: cccc at 1 124 takes
 about 5 ms.
 """
 
+from functools import cache
 from itertools import groupby, repeat
-from operator import add, floordiv, mul
+from math import gcd
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 # All five names stay module attributes because touchbench/tracer.py wraps
@@ -126,28 +137,37 @@ def touchard_terms(n: int) -> list:
     ]
 
 
-def _shift(ks: range, c: int) -> range:
-    """The range of k + c for k in ks."""
-    return range(ks.start + c, ks.stop + c, ks.step)
+class _Poly:
+    """One side of a ratio: const times the linear factors c m + o, one (c, o) each."""
+
+    def __init__(self, const: int, factors: tuple = ()) -> None:
+        self.const, self.factors = const, factors
+
+    def __call__(self, m: int) -> int:
+        value = self.const
+        for c, o in self.factors:
+            value *= c * m + o
+        return value
+
+
+def _m(*offsets) -> tuple:
+    """The factors m + o, one for each offset o."""
+    return tuple((1, o) for o in offsets)
 
 
 class _Group(NamedTuple):
     """Two factors taken as one: a two-factor type whose counts are hypergeometric.
 
     count(m) is the type's count at length m, a product form from
-    exactmath.  even and odd are pairs of functions (num, den) with
+    exactmath.  even and odd are ratios (num, den) of _Polys with
     g_(m + 2) / g_m = num(m) / den(m) for even and for odd m, where
     g_m = count(m) / m! is the group's EGF coefficient.  odd is None when
-    every odd term is 0, and returns_to_zero then says so, as for a kind.
+    every odd term is 0.
     """
 
     count: Callable
     even: tuple
     odd: tuple | None
-
-    @property
-    def returns_to_zero(self) -> bool:
-        return self.odd is None
 
 
 # The nine groups, by the letters of their two-factor types.  Each ratio is
@@ -162,74 +182,123 @@ class _Group(NamedTuple):
 # of r = 2 free directions only, and one ratio serves both parities.  Like
 # _term, each count calls exactmath through this module's names when it
 # runs, not through references taken at import.
-_AE = (lambda m: 4 * (2 * m + 3) * (2 * m + 5), lambda m: (m + 1) * (m + 2) * (m + 3) * (m + 4))
-_BE = (lambda m: 4 * (2 * m + 1) * (2 * m + 3), lambda m: ((m + 1) * (m + 2)) ** 2)
-_CE = (lambda m: 4 * (2 * m + 3) * (2 * m + 5), lambda m: (m + 1) * (m + 2) ** 2 * (m + 3))
+_AE = (_Poly(4, ((2, 3), (2, 5))), _Poly(1, _m(1, 2, 3, 4)))
+_BE = (_Poly(4, ((2, 1), (2, 3))), _Poly(1, _m(1, 1, 2, 2)))
+_CE = (_Poly(4, ((2, 3), (2, 5))), _Poly(1, _m(1, 2, 2, 3)))
 _GROUPS = {
     "aa": _Group(
         lambda m: 0 if m % 2 else catalan(m // 2) * catalan(m // 2 + 1),
-        (lambda m: 16 * (m + 3), lambda m: (m + 2) * (m + 4) * (m + 6)),
+        (_Poly(16, _m(3)), _Poly(1, _m(2, 4, 6))),
         None,
     ),
     "ab": _Group(
         lambda m: 0 if m % 2 else catalan(m // 2) * binomial(m + 1, m // 2),
-        (lambda m: 16 * (m + 3), lambda m: (m + 2) * (m + 4) ** 2),
+        (_Poly(16, _m(3)), _Poly(1, _m(2, 4, 4))),
         None,
     ),
     "ac": _Group(
         lambda m: catalan((m + 1) // 2) * binomial(m // 2 * 2 + 1, m // 2),
-        (lambda m: 16 * (m + 3), lambda m: (m + 2) * (m + 4) ** 2),
-        (lambda m: 16 * (m + 2), lambda m: (m + 1) * (m + 3) * (m + 5)),
+        (_Poly(16, _m(3)), _Poly(1, _m(2, 4, 4))),
+        (_Poly(16, _m(2)), _Poly(1, _m(1, 3, 5))),
     ),
     "bb": _Group(
         lambda m: 0 if m % 2 else central_binomial_even(m // 2) ** 2,
-        (lambda m: 16 * (m + 1), lambda m: (m + 2) ** 3),
+        (_Poly(16, _m(1)), _Poly(1, _m(2, 2, 2))),
         None,
     ),
     "bc": _Group(
         lambda m: central_binomial_any(m) ** 2,
-        (lambda m: 16 * (m + 1), lambda m: (m + 2) ** 3),
-        (lambda m: 16 * (m + 2), lambda m: (m + 1) * (m + 3) ** 2),
+        (_Poly(16, _m(1)), _Poly(1, _m(2, 2, 2))),
+        (_Poly(16, _m(2)), _Poly(1, _m(1, 3, 3))),
     ),
     "cc": _Group(
         lambda m: central_binomial_any(m) * binomial(m + 1, (m + 1) // 2),
-        (lambda m: 16 * (m + 3), lambda m: (m + 2) ** 2 * (m + 4)),
-        (lambda m: 16 * (m + 2), lambda m: (m + 1) * (m + 3) ** 2),
+        (_Poly(16, _m(3)), _Poly(1, _m(2, 2, 4))),
+        (_Poly(16, _m(2)), _Poly(1, _m(1, 3, 3))),
     ),
     "ae": _Group(lambda m: catalan(m + 1), _AE, _AE),
     "be": _Group(lambda m: central_binomial_even(m), _BE, _BE),
     "ce": _Group(lambda m: binomial(2 * m + 1, m), _CE, _CE),
 }
 
+# The kinds' ratios, where e_m = term m / m! is the kind's EGF coefficient.
+# An excursion has e_(2i) = 1 / (i! (i + 1)!) and a bridge 1 / (i! i!), and
+# their odd terms are 0, so they keep e_(m + 2) / e_m for even m alone.  A
+# meander has e_m = 1 / (floor(m / 2)! ceil(m / 2)!) and DimKind.FREE, the
+# pool e^{r x} of all r unrestricted directions, r^m / m!: no term is 0, so
+# they keep e_(m + 1) / e_m for even and for odd m (_one_step).
+_KIND_RATIOS = {
+    DimKind.EXCURSION: (_Poly(4), _Poly(1, _m(2, 4))),
+    DimKind.BRIDGE: (_Poly(4), _Poly(1, _m(2, 2))),
+}
+_MEANDER = ((_Poly(2), _Poly(1, _m(2))), (_Poly(2), _Poly(1, _m(1))))
 
-def _step(factor) -> int:
-    """The step of a factor's ratios: 2 for a group, an excursion or a bridge, 1 otherwise."""
-    return 2 if factor.returns_to_zero or isinstance(factor, _Group) else 1
 
-
-def _ratios(factor, r: int, ks: range) -> tuple:
-    """Iterables (nums, dens) with e_(k + step) / e_k = num / den for k in ks.
-
-    e_k is the factor's EGF coefficient: term k / k! of a kind, or a
-    group's count at k over k!.  The step (_step) is 2 for a group, whose
-    ks are all of one parity, and for an excursion or bridge, whose odd
-    terms are 0.  DimKind.FREE stands for the pool e^{r x} of all r
-    unrestricted directions.
-    """
-    if factor is DimKind.EXCURSION:
-        # e_(2i) = 1 / (i! (i + 1)!), so the ratio is 1 / ((i + 1)(i + 2)) with k = 2i.
-        return repeat(4, len(ks)), map(mul, _shift(ks, 2), _shift(ks, 4))
-    if factor is DimKind.BRIDGE:
-        # e_(2i) = 1 / (i! i!), so the ratio is 1 / (i + 1)^2.
-        return repeat(4, len(ks)), map(mul, _shift(ks, 2), _shift(ks, 2))
+def _one_step(factor, r: int):
+    """A meander's or e^{r x}'s ratios e_(m + 1) / e_m for even and odd m, else None."""
     if factor is DimKind.MEANDER:
-        # e_k = 1 / (floor(k / 2)! ceil(k / 2)!), so the ratio is 1 / floor((k + 2) / 2).
-        return repeat(1, len(ks)), map(floordiv, _shift(ks, 2), repeat(2))
+        return _MEANDER
+    if factor is DimKind.FREE:
+        return ((_Poly(r), _Poly(1, _m(1))),) * 2
+    return None
+
+
+def _ratio(factor, r: int, parity: int):
+    """The ratio (num, den) of e_(m + 2) / e_m over m of one parity; None where e_m is 0."""
     if isinstance(factor, _Group):
-        num, den = factor.odd if ks.start % 2 else factor.even
-        return map(num, ks), map(den, ks)
-    # e_k = r^k / k!
-    return repeat(r, len(ks)), _shift(ks, 1)
+        return factor.odd if parity else factor.even
+    one = _one_step(factor, r)
+    if one is None:
+        return None if parity else _KIND_RATIOS[factor]
+    # The ratio at m times the other parity's at m + 1.
+    return tuple(
+        _Poly(this.const * after.const, this.factors + tuple((c, o + c) for c, o in after.factors))
+        for this, after in zip(one[parity], one[1 - parity])
+    )
+
+
+def _side(const: int, k_factors: tuple, j_factors: tuple, first: int, odd_n: int, step: int):
+    """(const, lines): one side of a class's step, const times a h + b + c i per line (a, b, c).
+
+    h is n // 2.  Step i of the class that starts at first takes k = first + 2i
+    to k + step, and j = n - k - step = 2h + odd_n - first - step - 2i.  So a
+    factor c' k + o is the line (0, c' first + o, 2 c'), and c' j + o the
+    line (2 c', c' (odd_n - first - step) + o, -2 c').  Each line is divided
+    by the gcd of its coefficients, which moves into const, so the factors
+    stay small.
+    """
+    lines = []
+    for a, b, c in [(0, c * first + o, 2 * c) for c, o in k_factors] + [
+        (2 * c, c * (odd_n - first - step) + o, -2 * c) for c, o in j_factors
+    ]:
+        g = gcd(a, b, c)
+        const *= g
+        lines.append((a // g, b // g, c // g))
+    return const, tuple(lines)
+
+
+def _reduced(p: tuple, q: tuple) -> tuple:
+    """Sides p and q of one step, their constants divided by their gcd."""
+    g = gcd(p[0], q[0])
+    return (p[0] // g, p[1]), (q[0] // g, q[1])
+
+
+def _products(side: tuple, h: int, count: int):
+    """The side's values at h for steps 0..count - 1: const times the product of its lines.
+
+    Each line becomes a range; const scales the first, and with no line
+    every step is const.
+    """
+    const, lines = side
+    if not lines:
+        return repeat(const, count)
+    (a, b, c), *rest = lines
+    start, c = const * (a * h + b), const * c
+    product = range(start, start + c * count, c)
+    for a, b, c in rest:
+        start = a * h + b
+        product = map(mul, product, range(start, start + c * count, c))
+    return product
 
 
 def _roll(term: int, nums, dens):
@@ -240,16 +309,38 @@ def _roll(term: int, nums, dens):
         yield term
 
 
+@cache
+def _kind_plan(kind: DimKind, r: int) -> tuple:
+    """The classes (first, term first, num side, den side) that roll one factor's terms.
+
+    Term m is m! e_m, so term m + 2 is term m times (m + 1)(m + 2)
+    num(m) / den(m) of _ratio, less the factors that num and den share.
+    Term 0 is 1, and term 1 is r for e^{r x} and 1 for a meander; an
+    excursion or bridge has no odd class.
+    """
+    classes = []
+    for first in (0, 1):
+        ratio = _ratio(kind, r, first)
+        if ratio:
+            num, den = ratio
+            nums, dens = [*num.factors, *_m(1, 2)], list(den.factors)
+            for factor in [*nums]:
+                if factor in dens:
+                    nums.remove(factor)
+                    dens.remove(factor)
+            p, q = _side(num.const, nums, (), first, 0, 2), _side(den.const, dens, (), first, 0, 2)
+            classes.append((first, r if first and kind is DimKind.FREE else 1, *_reduced(p, q)))
+    return tuple(classes)
+
+
 def _kind_terms(kind: DimKind, r: int, n: int) -> list:
-    """Terms 0..n of one factor's EGF, rolled by _ratios times (k + step)! / k!."""
-    step = 2 if kind.returns_to_zero else 1
-    ks = range(0, n - step + 1, step)
-    nums, dens = _ratios(kind, r, ks)
-    for i in range(1, step + 1):
-        nums = map(mul, nums, _shift(ks, i))
-    # With a step of 2 only the even terms are rolled; the odd ones stay 0.
+    """Terms 0..n of one factor's EGF, each parity class rolled by its plan (_kind_plan)."""
     terms = [0] * (n + 1)
-    terms[::step] = _roll(1, nums, dens)
+    for first, term, num, den in _kind_plan(kind, r):
+        if first > n:
+            break
+        count = (n - first) // 2
+        terms[first::2] = _roll(term, _products(num, 0, count), _products(den, 0, count))
     return terms
 
 
@@ -266,55 +357,94 @@ def _term(factor, k: int, r: int) -> int:
     return r**k
 
 
-def _rolled_sum(a, b, r: int, n: int) -> int:
-    """sum_k binomial(n, k) a_k b_(n-k), each nonzero term rolled from the one before.
+def _step(a_ratio: tuple, b_ratio: tuple, first: int, odd_n: int, step: int) -> tuple:
+    """Sides (p, q) of a step from k to k + step: a's ratio at k, b's inverted at n - k - step."""
+    (a_num, a_den), (b_num, b_den) = a_ratio, b_ratio
+    p = _side(a_num.const * b_den.const, a_num.factors, b_den.factors, first, odd_n, step)
+    q = _side(a_den.const * b_num.const, a_den.factors, b_num.factors, first, odd_n, step)
+    return _reduced(p, q)
+
+
+def _pair(a, b, r: int) -> tuple:
+    """(a, b, r, classes): the plan of the rolled sum of a and b (_rolled_sum).
+
+    classes holds, for even and for odd n, the classes (first, steps): the
+    terms k = first, first + 2, ... whose a_k and b_(n-k) are not all 0,
+    and the one step (p, q) from k to k + 2, a's ratio at k times b's
+    inverted at j = n - k - 2.  When no term of a or b is 0 (a meander or
+    e^{r x} each) there is one class, first 0, and two steps: from even k
+    to k + 1 and from odd k to k + 1, so every divisor stays about n / 2.
+    Each step's constants fold into one fraction, reduced by gcd.
+    """
+    a_one, b_one = _one_step(a, r), _one_step(b, r)
+    classes = ([], [])
+    for odd_n in (0, 1):
+        if a_one and b_one:
+            steps = tuple(_step(a_one[k], b_one[(odd_n - k - 1) % 2], k, odd_n, 1) for k in (0, 1))
+            classes[odd_n].append((0, steps))
+            continue
+        for first in (0, 1):
+            a_ratio, b_ratio = _ratio(a, r, first), _ratio(b, r, (odd_n - first) % 2)
+            if a_ratio and b_ratio:
+                classes[odd_n].append((first, (_step(a_ratio, b_ratio, first, odd_n, 2),)))
+    return a, b, r, classes
+
+
+def _rolled_sum(pair: tuple, n: int) -> int:
+    """sum_k binomial(n, k) a_k b_(n-k) of a pair (_pair), each term rolled from the one before.
 
     a and b are kinds or groups.  Term k is n! e_k f_(n-k) for the EGF
-    coefficients e of a and f of b, so one step multiplies it by a's ratio
-    at k and divides it by b's ratio at n - k - step: small integers, and
-    no binomial to carry.  Kinds are sorted, e^{r x} comes last and a
-    group comes first, so a steps by 2 whenever b does, and the sum steps
-    by a's step.  With a step of 2 it runs over each parity class of k
-    whose terms are not all 0: not odd k when a's odd terms are 0, nor odd
-    n - k when b's are.  A class starts from its first term, from
-    exactmath: b_n at k = 0 and n a_1 b_(n-1) at k = 1.
+    coefficients e of a and f of b, so the sum runs over each class of k
+    that _pair planned, by its steps: one multiplication by p, one exact
+    division by q, both small integers read off ranges, and one addition
+    per term.  A class starts from its first term, from exactmath: b_n at
+    k = 0 and n a_1 b_(n-1) at k = 1.
     """
-    step, b_step = _step(a), _step(b)
-    total = 0
-    # Odd k has nonzero terms only when a is a group with odd terms.
-    for first in (0,) if a.returns_to_zero or step == 1 or not n else (0, 1):
-        if (n - first) % 2 and b.returns_to_zero:
-            continue
-        ks = range(first, n - step + 1, step)
-        js = range(n - first - step, -1, -step)  # n - k - step, b's index after the step from k
-        nums, dens = _ratios(a, r, ks)
-        # f_j / f_(j + step) inverts b's ratio at j, and at j + 1 as well when
-        # b steps by 1 and the sum by 2.
-        for shift in range(0, step, b_step):
-            b_nums, b_dens = _ratios(b, r, _shift(js, shift))
-            nums, dens = map(mul, nums, b_dens), map(mul, dens, b_nums)
+    a, b, r, classes = pair
+    h, total = n // 2, 0
+    for first, steps in classes[n % 2]:
+        if first > n:
+            break
         term = n * _term(a, 1, r) * _term(b, n - 1, r) if first else _term(b, n, r)
-        total += sum(_roll(term, nums, dens))
+        total += term
+        (p_side, q_side), *odd = steps
+        count = (n - first + len(odd)) // 2
+        ps, qs = _products(p_side, h, count), _products(q_side, h, count)
+        if odd:
+            # Steps from even k, each followed by the step from odd k + 1.  zip
+            # asks the odd steps first, so when they run out for an odd n, the
+            # last even step is left in the iterators for the loop below.
+            (p_odd, q_odd), = odd
+            ps, qs = iter(ps), iter(qs)
+            p1s, q1s = _products(p_odd, h, n // 2), _products(q_odd, h, n // 2)
+            for p1, q1, p, q in zip(p1s, q1s, ps, qs):
+                term = term * p // q
+                total += term
+                term = term * p1 // q1
+                total += term
+        for p, q in zip(ps, qs):
+            term = term * p // q
+            total += term
     return total
 
 
-def _check(walk_type: WalkType, n: int, tables=0, full=0, at_n=0, rolled=0) -> None:
+def _check(walk_type: WalkType, n: int, bits: int, tables=0, full=0, at_n=0, rolled=0) -> None:
     """Raise unless n >= 0 and the estimated work fits MAX_FORMULA_WORK.
 
     With s step directions a term of length n has at most
-    size = n * log2(s) bits.  Each table of terms 0..n holds about
-    (n + 1) * size / 2 bits and takes as many bit operations to roll.  A
-    convolution takes (n+1)(n+2)/2 index pairs in full, for every length
-    up to n, and n + 1 at n alone.  An index pair multiplies numbers of
-    about size bits: size bit operations while interpreter overhead
-    dominates, and size / 2048 times as many above 2048 bits, where the
-    multiplications themselves take over.  A rolled term takes one
-    multiplication and one exact division by a small integer: 2 * size.
+    size = n * log2(s) bits, bits = log2(s) rounded up (_plan).  Each
+    table of terms 0..n holds about (n + 1) * size / 2 bits and takes as
+    many bit operations to roll.  A convolution takes (n+1)(n+2)/2 index
+    pairs in full, for every length up to n, and n + 1 at n alone.  An
+    index pair multiplies numbers of about size bits: size bit operations
+    while interpreter overhead dominates, and size / 2048 times as many
+    above 2048 bits, where the multiplications themselves take over.  A
+    rolled term takes one multiplication and one exact division by a
+    small integer: 2 * size.
     """
     if n < 0:
         raise ValueError(f"the master summation requires n >= 0, got {n}")
-    steps = sum(kind.direction_count for kind in walk_type.dims)
-    size = (n + 1) * max(1, (steps - 1).bit_length())
+    size = (n + 1) * bits
     pairs = full * (n + 1) * (n + 2) // 2 + at_n * (n + 1)
     work = tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048) + 2 * rolled * size
     if work > MAX_FORMULA_WORK:
@@ -323,12 +453,6 @@ def _check(walk_type: WalkType, n: int, tables=0, full=0, at_n=0, rolled=0) -> N
             f"2^{work.bit_length() - 1} bit operations, over the guard of "
             f"2^{MAX_FORMULA_WORK.bit_length() - 1}"
         )
-
-
-def _factor_kinds(walk_type: WalkType) -> tuple:
-    """(kinds, r): the constrained kinds, then DimKind.FREE for e^{r x} when r > 0."""
-    r = walk_type.free_direction_count
-    return walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0), r
 
 
 def _factors(kinds: tuple, r: int, n: int) -> tuple:
@@ -412,6 +536,22 @@ def _groups(kinds: tuple, r: int):
     return None
 
 
+@cache
+def _plan(walk_type: WalkType) -> tuple:
+    """(factors, r, bits, pair): what general_count and general_sequence need of a type.
+
+    factors are the constrained kinds, then DimKind.FREE for e^{r x} when
+    r > 0; bits, of one step's choice among the type's directions, sizes
+    terms for _check; pair is the rolled sum of two factors or of two
+    groups (_pair), or None.  Each of the 125 types is planned on first use.
+    """
+    r = walk_type.free_direction_count
+    factors = walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0)
+    steps = sum(kind.direction_count for kind in walk_type.dims)
+    pair = factors if len(factors) == 2 else _groups(factors, r) if len(factors) > 2 else None
+    return factors, r, max(1, (steps - 1).bit_length()), pair and _pair(*pair, r)
+
+
 def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
@@ -424,22 +564,20 @@ def general_count(walk_type: WalkType, n: int) -> int:
     estimated work exceeds MAX_FORMULA_WORK; a grouped count is charged as
     the tables and convolutions it replaces.
     """
-    factors, r = _factor_kinds(walk_type)
+    factors, r, bits, pair = _plan(walk_type)
     if len(factors) == 1:
-        _check(walk_type, n, tables=1)
+        _check(walk_type, n, bits, tables=1)
         return _term(*factors, n, r)
     if len(factors) == 2:
-        # The sum steps by 2 over k when a factor has zero odd terms; kinds
-        # are sorted, so an excursion or bridge comes first.
-        step = 2 if factors[0].returns_to_zero else 1
-        _check(walk_type, n, rolled=n // step + 1)
-        return _rolled_sum(*factors, r, n)
+        # n // 2 + 1 rolled terms when a factor's odd terms are 0, n + 1
+        # otherwise; kinds are sorted, so an excursion or bridge comes first.
+        _check(walk_type, n, bits, rolled=n // (2 if factors[0].returns_to_zero else 1) + 1)
+        return _rolled_sum(pair, n)
     # One table per dimension at most, plus Pascal row n: the convolution's
     # charge, kept for grouped counts too.
-    _check(walk_type, n, len(walk_type.constrained_kinds) + 1, full=len(factors) - 2, at_n=1)
-    groups = _groups(factors, r)
-    if groups:
-        return _rolled_sum(*groups, r, n)
+    _check(walk_type, n, bits, len(factors) - (r > 0) + 1, full=len(factors) - 2, at_n=1)
+    if pair:
+        return _rolled_sum(pair, n)
     *plan, (_, a, a_even, b, b_even) = _factors(factors, r, n)[0]
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 
@@ -452,8 +590,8 @@ def general_sequence(walk_type: WalkType, n_max: int) -> list:
     and e^{r x}.  A single factor is its own term table, with no list to
     run.  Raises GuardExceeded like general_count.
     """
-    kinds, r = _factor_kinds(walk_type)
-    _check(walk_type, n_max, len(kinds), full=len(kinds) - 1)
+    kinds, r, bits, _ = _plan(walk_type)
+    _check(walk_type, n_max, bits, len(kinds), full=len(kinds) - 1)
     plan, product = _factors(kinds, r, n_max)
     if plan:
         _convolve(plan, n_max)

@@ -242,10 +242,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="touchard", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_count(sub) -> None:
     count = sub.add_parser("count", help="count valid walks of one length")
     count.add_argument("--type", required=True, help="walk type letters, e.g. ae")
     count.add_argument("--n", type=int, required=True, help="walk length")
@@ -258,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--max-brute", type=int, help="brute-force candidate guard")
     count.set_defaults(func=_cmd_count)
 
+
+def _add_sequence(sub) -> None:
     sequence = sub.add_parser("sequence", help="counts for lengths 0..max-n")
     sequence.add_argument("--type", required=True)
     sequence.add_argument(
@@ -274,28 +273,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sequence.set_defaults(func=_cmd_sequence)
 
+
+def _add_enumerate(sub) -> None:
     enumerate_cmd = sub.add_parser("enumerate", help="list valid walks of one length")
     enumerate_cmd.add_argument("--type", required=True)
     enumerate_cmd.add_argument("--n", type=int, required=True)
     enumerate_cmd.add_argument("--max-brute", type=int)
     enumerate_cmd.set_defaults(func=_cmd_enumerate)
 
+
+def _add_validate(sub) -> None:
     validate_cmd = sub.add_parser("validate", help="check one walk against its type")
     validate_cmd.add_argument("--type", required=True)
     validate_cmd.add_argument("walk", help="walk text, e.g. NSEW")
     validate_cmd.set_defaults(func=_cmd_validate)
 
+
+def _add_dyck(sub) -> None:
     dyck = sub.add_parser("dyck", help="convert between ae-walks and Dyck words")
     dyck.add_argument("mode", choices=("encode", "decode"))
     dyck.add_argument("text", help="walk text (encode) or Dyck word (decode)")
     dyck.set_defaults(func=_cmd_dyck)
 
+
+def _add_verify(sub) -> None:
     verify = sub.add_parser("verify", help="cross-check counts against golden tables")
     verify.add_argument("--table3", action="store_true", help="check all golden rows")
     verify.add_argument("--type", help="check a single type instead")
     verify.add_argument("--n-max", "--max-n", dest="n_max", type=int)
     verify.set_defaults(func=_cmd_verify)
 
+
+def _add_render(sub) -> None:
     render_cmd = sub.add_parser("render", help="draw a walk or Dyck path")
     render_cmd.add_argument("text", help="walk text or Dyck word")
     render_cmd.add_argument("--type", help="walk type (grid picture)")
@@ -306,11 +315,38 @@ def build_parser() -> argparse.ArgumentParser:
     render_cmd.add_argument("--out", help="write to a file instead of stdout")
     render_cmd.set_defaults(func=_cmd_render)
 
+
+# The subcommands in the order that touchard --help lists them.
+_SUBCOMMANDS = {
+    "count": _add_count,
+    "sequence": _add_sequence,
+    "enumerate": _add_enumerate,
+    "validate": _add_validate,
+    "dyck": _add_dyck,
+    "verify": _add_verify,
+    "render": _add_render,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The touchard parser, with only command's subparser when command names one.
+
+    A subcommand's help, usage and error texts do not depend on its
+    siblings, so main builds just the subparser that its first argument
+    names, and all seven when that argument is missing or names none
+    (touchard, touchard -h, an unknown command).
+    """
+    parser = _Parser(prog="touchard", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = _SUBCOMMANDS.get(command)
+    for add in (chosen,) if chosen else _SUBCOMMANDS.values():
+        add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     # Exact counts may pass the 4300-digit int-to-str limit; lift it for this call only.
     digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if digits is not None:

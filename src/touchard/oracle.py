@@ -1,11 +1,16 @@
 """Independent counting oracles: brute-force enumeration and memoized DP.
 
 These are the ground truth the closed forms are checked against, so the
-two routes share no counting logic: enumeration filters every candidate
-step string, while the DP recurses over (steps remaining, heights of the
+two routes share no counting logic: enumeration builds every valid step
+string, while the DP recurses over (steps remaining, heights of the
 constrained dimensions).  One generator, _valid_walks, is the whole
-brute-force route, guard and filter: enumerate_walks lists its walks,
+brute-force route, guard and scan: enumerate_walks lists its walks,
 while enumerate_dyck and count --method brute read them one at a time.
+It scans the first and the second half of a walk separately, each with
+one itertools.product pass, and joins a valid prefix to the suffixes
+that complete it, so it yields the walks of the one-pass filter over all
+base**n candidates, in the same order, without building the candidates
+that fail.  What it keeps is lists of suffix step tuples, never counts.
 The DP memo keys on canonical heights: bridge heights reflected to |h|
 and the heights of same-kind dimensions sorted, so each orbit of
 interchangeable heights is one memo state.  The memo lives in the locals
@@ -22,7 +27,9 @@ memoized.  Every id of need 0 starts its counts at {0: 1}, the one
 completion with no step left, outside the guard's count.
 """
 
+import functools
 import itertools
+import operator
 from typing import NamedTuple
 
 from .walks import DimKind, Walk, WalkType, step_alphabet
@@ -54,18 +61,35 @@ class GuardExceeded(RuntimeError):
 def enumerate_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> list:
     """All valid walks of the given length, in lexicographic token order.
 
-    Scans every candidate step string, so it refuses before the first
-    one when the candidate count base**n (base the alphabet size) or n
-    itself exceeds limits.max_brute_candidates.  For base >= 2 the count
-    exceeds the guard once 2**n does, so a long n is refused without
-    taking the power, and the message shows the count in full only for
-    n <= 64.
+    The guard charges every candidate step string, though the scan (see
+    _valid_walks) builds only base**(n // 2) + base**(n - n // 2) half
+    strings and the walks it keeps.  It refuses before any work when the
+    candidate count base**n (base the alphabet size) or n itself exceeds
+    limits.max_brute_candidates.  For base >= 2 the count exceeds the
+    guard once 2**n does, so a long n is refused without taking the
+    power, and the message shows the count in full only for n <= 64.
     """
     return list(_valid_walks(walk_type, n, limits))
 
 
 def _valid_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None):
-    """Yield enumerate_walks' walks after its guard, one candidate pass each."""
+    """Yield enumerate_walks' walks after its guard, joining two half scans.
+
+    A walk splits into a prefix of n // 2 steps and a suffix of the rest,
+    and the token order of whole walks is the prefixes' order, each
+    followed by its suffixes in theirs.  One pass over the suffixes
+    indexes them, in order, by the heights they bring back to 0 on the
+    returning dimensions (excursions and bridges), with their depth, the
+    most a running height falls below its start, on the nonnegative ones
+    (excursions and meanders).  One pass over the prefixes drops those
+    that go below 0 on a nonnegative dimension; a kept prefix ending at
+    heights h joins the suffixes indexed by h on the returning dimensions
+    whose depths are at most h on the nonnegative ones.  That list of
+    suffixes is built once per distinct h on the constrained dimensions
+    and holds the index's own suffix tuples, so the scan builds
+    base**(n // 2) + base**(n - n // 2) step strings plus the walks it
+    yields, one at a time, and keeps no walk.
+    """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
     alphabet = sorted(step_alphabet(walk_type))
@@ -81,17 +105,45 @@ def _valid_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None):
     ndims = len(kinds)
     nonneg = tuple(kind.stays_nonnegative for kind in kinds)
     to_zero = tuple(kind.returns_to_zero for kind in kinds)
+    constrained = tuple(not kind.unrestricted for kind in kinds)
     directions = [direction for _, direction in alphabet]
-    for combo in itertools.product(directions, repeat=n):
+    compress = itertools.compress
+    # Walk(steps) is a Python-level call; tuple.__new__ on the 1-tuples
+    # that zip makes builds the same Walk in C.
+    new_walk = functools.partial(tuple.__new__, Walk)
+
+    by_start = {}
+    for suffix in itertools.product(directions, repeat=n - n // 2):
         heights = [0] * ndims
-        for dim, sign in combo:
+        lows = [0] * ndims
+        for dim, sign in suffix:
+            h = heights[dim] + sign
+            heights[dim] = h
+            if h < lows[dim]:
+                lows[dim] = h
+        start = tuple([-h for h in compress(heights, to_zero)])
+        depths = tuple([-low for low in compress(lows, nonneg)])
+        by_start.setdefault(start, []).append((depths, suffix))
+
+    joins = {}
+    for prefix in itertools.product(directions, repeat=n // 2):
+        heights = [0] * ndims
+        for dim, sign in prefix:
             h = heights[dim] + sign
             heights[dim] = h
             if h < 0 and nonneg[dim]:
                 break
         else:
-            if not any(itertools.compress(heights, to_zero)):
-                yield Walk(combo)
+            end = tuple(compress(heights, constrained))
+            suffixes = joins.get(end)
+            if suffixes is None:
+                floor = tuple(compress(heights, nonneg))
+                suffixes = joins[end] = [
+                    suffix
+                    for depths, suffix in by_start.get(tuple(compress(heights, to_zero)), ())
+                    if all(map(operator.le, depths, floor))
+                ]
+            yield from map(new_walk, zip(map(prefix.__add__, suffixes)))
 
 
 def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:

@@ -48,59 +48,57 @@ hypergeometric in each parity class of n: the six constrained pairs aa,
 ab, ac, bb, bc and cc, and ae, be and ce, a constrained kind with a pool
 of r = 2 free directions.  Each is a group (_GROUPS): its count at m is a
 product form from exactmath, and its EGF coefficient g_m = count / m! is
-g_(m-2) times a quotient of small integers, one per parity class.
-_pair takes a group as it takes a kind.  So general_count splits a type
-of three or more factors into two factors, at least one a group, and
-sums their product in one pass of about n + 1 rolled terms: (pair)
-single, as ccc = (cc) c; (pair) e^{r x}, as acd = (ac) e^{x}; (pair)
-(pair), as cccc = (cc) (cc); and
-(x e^{2x}) (pair), as abce = (ae) (bc).  That covers 65 of the 75 types
-of three or more factors.  e^{x} and one kind make no group, so the ten
-types of three constrained kinds and one d (aaad to cccd) still
-convolve.  The two-factor types keep their sum over two kinds, so the
-closed forms that catalog.verify sets beside them stay independent of
-the groups' product forms.
+g_(m-2) times a quotient of small integers, one per parity class.  Every
+route below takes a group as it takes a kind.
 
-general_sequence with two or more factors, and general_count for those
-ten types, convolve term tables, each parity class rolled by its kind's
-ratio as _kind_plan plans it once:
-(a * b)_m = sum_k binomial(m, k) a_k b_(m-k).  The factors are the
-dimensions in sorted order, then e^{r x} when r > 0, and _factors walks
-them once, kind by kind: it rolls one table per distinct kind and plans
-one list of convolutions.  Two dimensions of one kind share that table,
-and their product is a square whose terms k and m - k are equal: it sums
-the pairs with k < m - k, doubles them and adds the centre term, half
-the index pairs of a product of two tables.  The list squares each
-repeated kind first and then chains the squares and the remaining
-factors left to right.  _convolve fills every convolution in one pass
-over m, against one Pascal row per m.  general_sequence runs the whole
-list and returns every count 0..n: ccc is C^2 and C^2 C in full; cccc is
-C^2 and a square of C^2.  general_count runs all but the last
-convolution and evaluates that one at index n alone, against Pascal row
-n: aacd is A^2, A^2 C in full and one dot with e^{x} at n.  With s
-distinct squares and u squares and single factors before the last, that
-is about s (n+1)(n+2)/4 + (u - 1)(n+1)(n+2)/2 + (n + 1) index pairs,
-where a sum over step allocations visits C(n + d, d) allocations for d
-constrained dimensions.
+_plan splits each type once into units, and both entry points compute
+with them (_units).  One or two factors are their own units.  Three or
+four make two units, at least one a group: (pair) single, as
+ccc = (cc) c; (pair) e^{r x}, as acd = (ac) e^{x}; (pair) (pair), as
+cccc = (cc) (cc); and (x e^{2x}) (pair), as abce = (ae) (bc).  e^{x} and
+one kind make no group, so the ten types of three constrained kinds and
+one d (aaad to cccd) have three units: a group, a kind and e^{x}, as
+aacd = (aa) c e^{x}.  The two-factor types keep their sum over two kinds,
+so the closed forms that catalog.verify sets beside them stay
+independent of the groups' product forms.
+
+general_count takes one unit's term n and sums two units in one rolled
+pass of about n + 1 terms, so only those ten types and general_sequence
+convolve term tables, (a * b)_m = sum_k binomial(m, k) a_k b_(m-k).
+_factors rolls one table per distinct unit, each parity class by the
+unit's ratio as _kind_plan plans it once, and chains the units left to
+right, even-only ones first.  Two equal units share one table, and their
+product is a square whose terms k and m - k are equal: it sums the pairs
+with k < m - k, doubles them and adds the centre term, half the index
+pairs of a product of two tables.  _convolve fills every convolution in
+one pass over m, against one Pascal row per m.  general_sequence runs
+the whole chain and returns every count 0..n: ccc is (cc) c, one
+convolution; cccc is one square of the cc table; aabe is (ab) (ae), ab
+first since its odd terms are 0.  general_count for the ten three-unit
+types convolves the first two units in full and evaluates their product
+with e^{x} at index n alone, against Pascal row n.  So u units take
+u - 1 convolutions of (n+1)(n+2)/2 index pairs each, half that for a
+square, and a three-unit count one of them and n + 1 pairs, where a sum
+over step allocations visits C(n + d, d) allocations for d constrained
+dimensions.
 
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
 O(n)-bit numbers.  Both functions estimate that work before starting and
 raise GuardExceeded when it exceeds MAX_FORMULA_WORK.  _check charges
-each engine once, in its own units.  A one-factor count is one table,
-like its sequence, so both admit c up to n = 92 680.  A two-factor count
-is its n // step + 1 rolled terms: ae and aa up to 46 339, ce and cc up
-to 32 767.  A count of h >= 3 factors is a table per constrained
-dimension plus Pascal row n, h - 2 convolutions in full and one at n
-alone; a sequence of h factors is h tables and h - 1 convolutions in
-full.  A square is charged as a full product: cccc is refused past
-n = 1 124.  A grouped count is still charged as the tables and
-convolutions it replaces, so it is overcharged: cccc at 1 124 takes
-about 5 ms.
+by factors, not by units.  A one-factor count is one table, like its
+sequence, so both admit c up to n = 92 680.  A two-factor count is its
+n // step + 1 rolled terms: ae and aa up to 46 339, ce and cc up to
+32 767.  A count of h >= 3 factors is a table per constrained dimension
+plus Pascal row n, h - 2 convolutions in full and one at n alone; a
+sequence of h factors is h tables and h - 1 convolutions in full.  A
+square is charged as a full product.  Units never do more than that, so
+a grouped count or sequence is overcharged: cccc's count is refused past
+n = 1 124, where it takes about 3 ms, and its sequence past 982.
 """
 
 from functools import cache
-from itertools import groupby, repeat
+from itertools import repeat
 from math import gcd
 from operator import add, mul
 from typing import Callable, NamedTuple
@@ -168,6 +166,11 @@ class _Group(NamedTuple):
     count: Callable
     even: tuple
     odd: tuple | None
+
+    @property
+    def returns_to_zero(self) -> bool:
+        """Every odd count is 0, as for an excursion or a bridge."""
+        return self.odd is None
 
 
 # The nine groups, by the letters of their two-factor types.  Each ratio is
@@ -310,13 +313,14 @@ def _roll(term: int, nums, dens):
 
 
 @cache
-def _kind_plan(kind: DimKind, r: int) -> tuple:
-    """The classes (first, term first, num side, den side) that roll one factor's terms.
+def _kind_plan(kind, r: int) -> tuple:
+    """The classes (first, term first, num side, den side) that roll one unit's terms.
 
-    Term m is m! e_m, so term m + 2 is term m times (m + 1)(m + 2)
-    num(m) / den(m) of _ratio, less the factors that num and den share.
-    Term 0 is 1, and term 1 is r for e^{r x} and 1 for a meander; an
-    excursion or bridge has no odd class.
+    A unit is a kind or a group.  Term m is m! e_m, or a group's count, so
+    term m + 2 is term m times (m + 1)(m + 2) num(m) / den(m) of _ratio,
+    less the factors that num and den share.  Each class starts from its
+    first term (_term); an excursion, a bridge or a group whose odd counts
+    are 0 has no odd class.
     """
     classes = []
     for first in (0, 1):
@@ -329,12 +333,12 @@ def _kind_plan(kind: DimKind, r: int) -> tuple:
                     nums.remove(factor)
                     dens.remove(factor)
             p, q = _side(num.const, nums, (), first, 0, 2), _side(den.const, dens, (), first, 0, 2)
-            classes.append((first, r if first and kind is DimKind.FREE else 1, *_reduced(p, q)))
+            classes.append((first, _term(kind, first, r), *_reduced(p, q)))
     return tuple(classes)
 
 
-def _kind_terms(kind: DimKind, r: int, n: int) -> list:
-    """Terms 0..n of one factor's EGF, each parity class rolled by its plan (_kind_plan)."""
+def _kind_terms(kind, r: int, n: int) -> list:
+    """Terms 0..n of one unit, each parity class rolled by its plan (_kind_plan)."""
     terms = [0] * (n + 1)
     for first, term, num, den in _kind_plan(kind, r):
         if first > n:
@@ -441,6 +445,12 @@ def _check(walk_type: WalkType, n: int, bits: int, tables=0, full=0, at_n=0, rol
     above 2048 bits, where the multiplications themselves take over.  A
     rolled term takes one multiplication and one exact division by a
     small integer: 2 * size.
+
+    Callers count tables and convolutions by factors, not by units: one
+    table per factor and a convolution per factor after the first.  A
+    group rolls one table in place of two tables and their convolution,
+    so the charge bounds the work of every unit plan, and the trip points
+    depend on the factors alone.
     """
     if n < 0:
         raise ValueError(f"the master summation requires n >= 0, got {n}")
@@ -455,39 +465,30 @@ def _check(walk_type: WalkType, n: int, bits: int, tables=0, full=0, at_n=0, rol
         )
 
 
-def _factors(kinds: tuple, r: int, n: int) -> tuple:
+def _factors(units: tuple, r: int, n: int) -> tuple:
     """(plan, product): convolutions (out, a, a_even, b, b_even) and the table they fill.
 
-    Kinds are sorted with DimKind.FREE last, so the factors of one kind sit
-    side by side and share one term table.  Each two of them make one
-    square, listed first; a kind that occurs four times is two units of the
-    same square.  The chain then multiplies the units left to right, and
-    its last out is the product.  A single factor is its own product, with
-    an empty plan.
+    Each distinct unit rolls one term table (_kind_terms), so two equal
+    units share it and make a square.  The plan chains the units left to
+    right, even-only ones first as _dot requires, and its last out is the
+    product.  A single unit is its own product, with an empty plan.
     """
-    plan, units = [], []
-    for kind, group in groupby(kinds):
-        count = len(list(group))
-        table, even = _kind_terms(kind, r, n), kind.returns_to_zero
-        if count > 1:
-            square = [0] * (n + 1)
-            plan.append((square, table, even, table, even))
-            units += [(square, even)] * (count // 2)
-        units += [(table, even)] * (count % 2)
-    product, product_even = units[0]
-    for table, even in units[1:]:
+    tables = {unit: _kind_terms(unit, r, n) for unit in dict.fromkeys(units)}
+    first, *rest = sorted(units, key=lambda unit: not unit.returns_to_zero)
+    product, product_even, plan = tables[first], first.returns_to_zero, []
+    for unit in rest:
         out = [0] * (n + 1)
-        plan.append((out, product, product_even, table, even))
-        product, product_even = out, product_even and even
+        plan.append((out, product, product_even, tables[unit], unit.returns_to_zero))
+        product, product_even = out, product_even and unit.returns_to_zero
     return plan, product
 
 
 def _dot(row: list, a: list, a_even: bool, b: list, b_even: bool, m: int) -> int:
     """sum_k binomial(m, k) a_k b_(m-k), skipping the zero odd terms.
 
-    Factors come even-only first, so b_even implies a_even.  When a is b
-    the sum is a square: its terms k and m - k are equal, so it sums the
-    pairs with k < m - k once, doubles them, and adds the centre term.
+    Units come even-only first (_factors), so b_even implies a_even.  When
+    a is b the sum is a square: its terms k and m - k are equal, so it sums
+    the pairs with k < m - k once, doubles them, and adds the centre term.
     """
     if b_even and m % 2:
         return 0
@@ -516,83 +517,84 @@ def _convolve(convolutions: list, n: int) -> list:
     return row
 
 
-def _groups(kinds: tuple, r: int):
-    """Two factors for _rolled_sum whose product is that of kinds, or None.
+def _units(factors: tuple, r: int) -> tuple:
+    """The units that both entry points compute with: factors, groups (_GROUPS) or both.
 
-    kinds are three or four factors, sorted with DimKind.FREE (letter e,
-    whatever r is) last.  The first two make a group, and the rest is one
-    kind, e^{r x} or a second group: (pair) single, (pair) e^{r x} or
-    (pair) (pair).  Three constrained kinds and e^{2x} make (x e^{2x})
-    (pair).  Three constrained kinds and e^{x} make no two groups, since
-    e^{x} with one kind is not hypergeometric: those ten types return None.
+    factors are sorted with DimKind.FREE (letter e, whatever r is) last.
+    One or two are their own units.  Of three or four, the first two make
+    a group, and the rest is one kind, e^{r x} or a second group: (pair)
+    single, (pair) e^{r x} or (pair) (pair).  Three constrained kinds and
+    e^{2x} make (x e^{2x}) (pair).  e^{x} with one kind is not
+    hypergeometric, so three constrained kinds and e^{x} make three units,
+    (pair) single e^{x}.
     """
-    letters = "".join(kind.value for kind in kinds)
-    if len(letters) == 3:
-        return _GROUPS[letters[:2]], kinds[2]
-    if letters[3] != "e":
+    letters = "".join(kind.value for kind in factors)
+    if len(letters) < 3:
+        return factors
+    if len(letters) == 4 and letters[3] != "e":
         return _GROUPS[letters[:2]], _GROUPS[letters[2:]]
-    if r == 2:
+    if len(letters) == 4 and r == 2:
         return _GROUPS[letters[0] + "e"], _GROUPS[letters[1:3]]
-    return None
+    return _GROUPS[letters[:2]], *factors[2:]
 
 
 @cache
 def _plan(walk_type: WalkType) -> tuple:
-    """(factors, r, bits, pair): what general_count and general_sequence need of a type.
+    """(factor_count, r, bits, units, pair): what general_count and general_sequence need of a type.
 
-    factors are the constrained kinds, then DimKind.FREE for e^{r x} when
-    r > 0; bits, of one step's choice among the type's directions, sizes
-    terms for _check; pair is the rolled sum of two factors or of two
-    groups (_pair), or None.  Each of the 125 types is planned on first use.
+    The factors are the constrained kinds, then DimKind.FREE for e^{r x}
+    when r > 0, and _check charges for their count; units are what both
+    entry points compute with (_units); bits, of one step's choice among
+    the type's directions, sizes terms for _check; pair is the rolled sum
+    of two units (_pair), or None.  Each of the 125 types is planned on
+    first use.
     """
     r = walk_type.free_direction_count
     factors = walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0)
-    steps = sum(kind.direction_count for kind in walk_type.dims)
-    pair = factors if len(factors) == 2 else _groups(factors, r) if len(factors) > 2 else None
-    return factors, r, max(1, (steps - 1).bit_length()), pair and _pair(*pair, r)
+    units = _units(factors, r)
+    pair = _pair(*units, r) if len(units) == 2 else None
+    return len(factors), r, max(1, (walk_type.step_count - 1).bit_length()), units, pair
 
 
 def general_count(walk_type: WalkType, n: int) -> int:
     """Evaluate the master summation for any type with up to 4 dimensions.
 
-    One factor gives its term n and two factors a rolled sum (_rolled_sum),
-    without a term table.  Three or more make two groups (_groups) when
-    they can, and their product is again one rolled sum.  The ten types of
-    three constrained kinds and one d run the convolution list of
-    general_sequence but the last, and evaluate that one at index n alone,
-    against Pascal row n.  Raises GuardExceeded, before any work, when the
-    estimated work exceeds MAX_FORMULA_WORK; a grouped count is charged as
-    the tables and convolutions it replaces.
+    Computes with the type's units (_plan): one unit gives its term n and
+    two a rolled sum (_rolled_sum), without a term table.  Three units, a
+    group, a kind and e^{x}, convolve the first two tables in full and
+    evaluate the product with e^{x} at index n alone, against Pascal row
+    n.  Raises GuardExceeded, before any work, when the estimated work
+    exceeds MAX_FORMULA_WORK; three or more factors are charged as a table
+    per constrained dimension and their convolutions (_check).
     """
-    factors, r, bits, pair = _plan(walk_type)
-    if len(factors) == 1:
+    factor_count, r, bits, units, pair = _plan(walk_type)
+    if factor_count == 1:
         _check(walk_type, n, bits, tables=1)
-        return _term(*factors, n, r)
-    if len(factors) == 2:
+        return _term(*units, n, r)
+    if factor_count == 2:
         # n // 2 + 1 rolled terms when a factor's odd terms are 0, n + 1
         # otherwise; kinds are sorted, so an excursion or bridge comes first.
-        _check(walk_type, n, bits, rolled=n // (2 if factors[0].returns_to_zero else 1) + 1)
+        _check(walk_type, n, bits, rolled=n // (2 if units[0].returns_to_zero else 1) + 1)
         return _rolled_sum(pair, n)
-    # One table per dimension at most, plus Pascal row n: the convolution's
-    # charge, kept for grouped counts too.
-    _check(walk_type, n, bits, len(factors) - (r > 0) + 1, full=len(factors) - 2, at_n=1)
+    # One table per dimension at most, plus Pascal row n, whatever the units.
+    _check(walk_type, n, bits, factor_count - (r > 0) + 1, full=factor_count - 2, at_n=1)
     if pair:
         return _rolled_sum(pair, n)
-    *plan, (_, a, a_even, b, b_even) = _factors(factors, r, n)[0]
+    *plan, (_, a, a_even, b, b_even) = _factors(units, r, n)[0]
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 
 
 def general_sequence(walk_type: WalkType, n_max: int) -> list:
     """Master-summation counts for every length 0..n_max.
 
-    Runs the convolution list that _factors plans in one pass over the
-    lengths: each repeated kind squared first, then the chain over the rest
-    and e^{r x}.  A single factor is its own term table, with no list to
-    run.  Raises GuardExceeded like general_count.
+    Rolls one term table per distinct unit of the type (_plan) and chains
+    the units in one pass over the lengths (_factors, _convolve).  A
+    single unit is its own table, with nothing to convolve.  Raises
+    GuardExceeded like general_count.
     """
-    kinds, r, bits, _ = _plan(walk_type)
-    _check(walk_type, n_max, bits, len(kinds), full=len(kinds) - 1)
-    plan, product = _factors(kinds, r, n_max)
+    factor_count, r, bits, units, _ = _plan(walk_type)
+    _check(walk_type, n_max, bits, factor_count, full=factor_count - 1)
+    plan, product = _factors(units, r, n_max)
     if plan:
         _convolve(plan, n_max)
     return product
@@ -610,7 +612,7 @@ def ab_closed(n: int) -> int:
     Odd lengths admit no returning walk; callers treat them as 0.
     """
     _require_even(n, "ab_closed")
-    return catalan(n // 2) * binomial(n + 1, n // 2)
+    return _GROUPS["ab"].count(n)
 
 
 def aa_closed(n: int) -> int:
@@ -619,7 +621,7 @@ def aa_closed(n: int) -> int:
     Equals the sum form sum_i catalan(i) * catalan(n/2 - i) * binomial(n, 2i).
     """
     _require_even(n, "aa_closed")
-    return catalan(n // 2) * catalan(n // 2 + 1)
+    return _GROUPS["aa"].count(n)
 
 
 def quadrant_axis_sum(n: int) -> int:
@@ -644,7 +646,7 @@ def halfplane_closed(n: int) -> int:
     """binomial(2n + 1, n): count for the meander x free type."""
     if n < 0:
         raise ValueError(f"halfplane_closed requires n >= 0, got {n}")
-    return binomial(2 * n + 1, n)
+    return _GROUPS["ce"].count(n)
 
 
 def ace3d_count(n: int) -> int:

@@ -222,7 +222,7 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     """
     kinds = walk_type.constrained_kinds
     r = walk_type.free_direction_count
-    bits = (sum(kind.direction_count for kind in walk_type.dims) - 1).bit_length()
+    bits = (walk_type.step_count - 1).bit_length()
     span = len(kinds)
     returns = tuple(int(kind.returns_to_zero) for kind in kinds)
     parity_locked = not r and all(returns)

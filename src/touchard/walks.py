@@ -69,6 +69,11 @@ class WalkType(NamedTuple("WalkType", [("dims", tuple)])):
         return "".join(kind.value for kind in self.dims)
 
     @property
+    def step_count(self) -> int:
+        """The type's step directions: 1 per one-way dimension, 2 per other."""
+        return sum(kind.direction_count for kind in self.dims)
+
+    @property
     def free_direction_count(self) -> int:
         """r = #one-way dims + 2 * #free dims."""
         return sum(kind.direction_count for kind in self.dims if kind.unrestricted)

@@ -1,11 +1,14 @@
-"""The master summation rolls one table per distinct factor kind and plans one convolution list.
+"""The master summation computes with each type's units, planned once for both entry points.
 
-With multiplicities c_i of the distinct kinds, a sequence convolves
-s = #{c_i > 1} squares and then chains u = sum(c_i // 2 + c_i % 2) units:
-s + u - 1 convolutions in one pass, and none for a single factor.  A count
-of three constrained kinds and one d runs the same list but the last,
-which it evaluates at n alone.  Every other count of three or more factors
-is one rolled sum over two groups, with no table and no convolution.
+A unit is a factor (a constrained kind, or e^{r x} for the r free
+directions) or a group of two factors (closedforms._GROUPS).  One or two
+factors are their own units.  Three or four make two units, at least one
+of them a group, except the ten types of three constrained kinds and one
+d, whose units are a group, a kind and e^{x}.  A sequence rolls one table
+per distinct unit and chains the units in units - 1 convolutions, none for
+a single unit.  A count of two units is one rolled sum with no table; a
+count of three builds their three tables and convolves the first two in
+full, then evaluates the last product at n alone.
 """
 
 from collections import Counter
@@ -19,13 +22,16 @@ from touchard import closedforms
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Lists that collect each _kind_terms kind and each _convolve plan length."""
+    """Lists that collect each _kind_terms unit, by its letters, and each _convolve plan length."""
     tables, plans = [], []
     kind_terms, convolve = closedforms._kind_terms, closedforms._convolve
 
-    def counted_kind_terms(kind, r, n):
-        tables.append(kind)
-        return kind_terms(kind, r, n)
+    def counted_kind_terms(unit, r, n):
+        if isinstance(unit, DimKind):
+            tables.append(unit.value)
+        else:
+            tables.append(next(name for name, group in closedforms._GROUPS.items() if group is unit))
+        return kind_terms(unit, r, n)
 
     def counted_convolve(plan, n):
         plans.append(len(plan))
@@ -36,34 +42,42 @@ def counted(monkeypatch):
     return tables, plans
 
 
-def _multiplicities(walk_type):
-    kinds = walk_type.constrained_kinds + (DimKind.FREE,) * (walk_type.free_direction_count > 0)
-    return Counter(kinds)
+def _units(walk_type):
+    """The type's units by letters: e stands for e^{r x}, two letters for a group."""
+    kinds = "".join(kind.value for kind in walk_type.constrained_kinds)
+    r = walk_type.free_direction_count
+    factors = list(kinds) + ["e"] * (r > 0)
+    if len(factors) < 3:
+        return factors
+    if len(factors) == 3:
+        return [kinds[:2], factors[2]]
+    if not r:
+        return [kinds[:2], kinds[2:]]
+    if r == 2:
+        return [kinds[0] + "e", kinds[1:]]
+    return [kinds[:2], kinds[2], "e"]
 
 
-def _plan_length(multiplicities):
-    squares = sum(c > 1 for c in multiplicities.values())
-    units = sum(c // 2 + c % 2 for c in multiplicities.values())
-    return squares + units - 1
+def test_units_of_the_125_types():
+    sizes = Counter(len(_units(canonicalize_type(letters))) for letters in all_type_strings(4))
+    assert sizes == {1: 17, 2: 98, 3: 10}
 
 
 @pytest.mark.parametrize("letters", all_type_strings(4))
 def test_one_table_per_kind_and_one_plan(counted, letters):
     tables, plans = counted
     wt = canonicalize_type(letters)
-    multiplicities = _multiplicities(wt)
-    factor_count = sum(multiplicities.values())
+    units = _units(wt)
 
     general_sequence(wt, 12)
-    assert Counter(tables) == Counter(set(multiplicities))
-    assert plans == ([_plan_length(multiplicities)] if factor_count > 1 else [])
+    assert Counter(tables) == Counter(set(units))
+    assert plans == ([len(units) - 1] if len(units) > 1 else [])
 
-    if factor_count >= 3:
-        tables.clear()
-        plans.clear()
-        general_count(wt, 12)
-        if len(wt.constrained_kinds) == 3 and wt.free_direction_count == 1:
-            assert Counter(tables) == Counter(set(multiplicities))
-            assert plans == [_plan_length(multiplicities) - 1]
-        else:
-            assert tables == plans == []
+    tables.clear()
+    plans.clear()
+    general_count(wt, 12)
+    if len(units) == 3:
+        assert sorted(tables) == sorted(units)
+        assert plans == [1]
+    else:
+        assert tables == plans == []

@@ -12,6 +12,13 @@ documented defects in the published tables, NOTE lines:
 * the two-dimensional type ac is claimed to be counted by
   binomial(2n + 1, n), but that closed form counts type ce; the
   summation quadrant_axis_sum is what actually matches the ac oracle.
+
+Loading the golden tables compiles neither closedforms nor exactmath.
+The formula functions that verify compares against are bound into this
+module's globals once, on first use: verify and named_closed_form call
+_bind_formulas first, and reading one of the names before that binds
+them all (PEP 562 __getattr__).  A name replaced with setattr before the
+binding is kept, so the function a caller sees is the one verify calls.
 """
 
 from dataclasses import dataclass, field
@@ -19,16 +26,6 @@ from functools import cache
 from importlib import resources
 from itertools import zip_longest
 
-from .closedforms import (
-    aa_closed,
-    ab_closed,
-    ace3d_count,
-    general_count,
-    general_sequence,
-    halfplane_closed,
-    quadrant_axis_sum,
-)
-from .exactmath import catalan, motzkin
 from .oracle import GuardExceeded, ResourceLimits, sequence_dp
 from .walks import WalkType, canonicalize_type
 
@@ -145,23 +142,61 @@ def table2_map() -> list:
     ]
 
 
+# The formula functions verify calls, bound by _bind_formulas.
+_CLOSEDFORMS_NAMES = (
+    "aa_closed",
+    "ab_closed",
+    "ace3d_count",
+    "general_count",
+    "general_sequence",
+    "halfplane_closed",
+    "quadrant_axis_sum",
+)
+_EXACTMATH_NAMES = ("catalan", "motzkin")
+
 # Named closed forms attached to specific types, used as the third
-# verification column where one exists.
-_SPECIAL_CLOSED = {
-    "ae": ("catalan(n+1)", lambda n: catalan(n + 1)),
-    "add": ("catalan(n+1)", lambda n: catalan(n + 1)),
-    "ab": ("catalan(n/2)*binom(n+1,n/2)", lambda n: ab_closed(n) if n % 2 == 0 else 0),
-    "aa": ("catalan(n/2)*catalan(n/2+1)", lambda n: aa_closed(n) if n % 2 == 0 else 0),
-    "ac": ("quadrant_axis_sum", quadrant_axis_sum),
-    "ad": ("motzkin(n)", motzkin),
-    "ce": ("binom(2n+1,n)", halfplane_closed),
-    "ace": ("ace3d_count", ace3d_count),
-}
+# verification column where one exists; built by _bind_formulas.
+_SPECIAL_CLOSED = None
+
+
+def _bind_formulas() -> dict:
+    """Bind the formula functions into this module once; the named closed forms.
+
+    A name already in the module's globals (set with setattr) is kept.
+    """
+    global _SPECIAL_CLOSED
+    if _SPECIAL_CLOSED is None:
+        # The import statement, unlike importlib.import_module, shows the
+        # loads in python -X importtime.
+        from . import closedforms, exactmath
+
+        namespace = globals()
+        for module, names in ((closedforms, _CLOSEDFORMS_NAMES), (exactmath, _EXACTMATH_NAMES)):
+            for name in names:
+                namespace.setdefault(name, getattr(module, name))
+        _SPECIAL_CLOSED = {
+            "ae": ("catalan(n+1)", lambda n: catalan(n + 1)),
+            "add": ("catalan(n+1)", lambda n: catalan(n + 1)),
+            "ab": ("catalan(n/2)*binom(n+1,n/2)", lambda n: ab_closed(n) if n % 2 == 0 else 0),
+            "aa": ("catalan(n/2)*catalan(n/2+1)", lambda n: aa_closed(n) if n % 2 == 0 else 0),
+            "ac": ("quadrant_axis_sum", quadrant_axis_sum),
+            "ad": ("motzkin(n)", motzkin),
+            "ce": ("binom(2n+1,n)", halfplane_closed),
+            "ace": ("ace3d_count", ace3d_count),
+        }
+    return _SPECIAL_CLOSED
+
+
+def __getattr__(name):
+    if name not in _CLOSEDFORMS_NAMES + _EXACTMATH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_formulas()
+    return globals()[name]
 
 
 def named_closed_form(walk_type: WalkType):
     """(label, function) for the type's named closed form, or None."""
-    special = _SPECIAL_CLOSED.get(walk_type.letters)
+    special = _bind_formulas().get(walk_type.letters)
     if special is not None:
         return special
     if all(kind.unrestricted for kind in walk_type.dims):
@@ -266,6 +301,7 @@ def verify(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _bind_formulas()
     records = golden_table3() if records is None else records
     letters = walk_type.letters
     record = _golden_row(records, walk_type)

@@ -15,16 +15,21 @@ The DP memo keys on canonical heights: bridge heights reflected to |h|
 and the heights of same-kind dimensions sorted, so each orbit of
 interchangeable heights is one memo state.  The memo lives in the locals
 of one _completions call, made by one count_dp or sequence_dp call: each
-canonical heights tuple is interned once to an integer id, the id's
-moves are built once and reused for every steps remaining, its counts
-are kept in one dict per id, and a running total of stored counts feeds
-the guard.  Each move carries its child's need, the sum of its returning
-heights (excursions and bridges), and a stored child count is looked up
-before the recursion calls itself.  A state is dead when its need
-exceeds the steps left, or, for a type with no free direction and no
-meander, differs from them in parity; dead states count 0 and are never
-memoized.  Every id of need 0 starts its counts at {0: 1}, the one
-completion with no step left, outside the guard's count.
+canonical heights vector is keyed by an integer, one digit per
+constrained dimension, and interned once to an integer id, so a child's
+key is its parent's plus or minus one power of the radix and its
+heights tuple is built only when the key is new.  Each id keeps its
+need, the sum of its returning heights (excursions and bridges), from
+the moment it is interned; its moves are built once and reused for
+every steps remaining, after which its heights and key are released;
+its counts are kept in one dict per id, and a running total of stored
+counts feeds the guard.  Each move carries its child's need, and a
+stored child count is looked up before the recursion calls itself.  A
+state is dead when its need exceeds the steps left, or, for a type with
+no free direction and no meander, differs from them in parity; dead
+states count 0 and are never memoized.  Every id of need 0 starts its
+counts at {0: 1}, the one completion with no step left, outside the
+guard's count.
 """
 
 import functools
@@ -190,18 +195,26 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     free directions are one move of weight r to the same heights.
 
     The memo is local to this call and shared by every length of it.
-    ids interns each canonical heights tuple to an integer id, and
-    heights_of[i] is the tuple of id i; id 0 is the origin.  moves[i] is
-    None until rec first reaches id i, then expand builds it once as a
-    tuple of (weight, child id, the child's need, the child's counts),
-    reused for every k and every length.  counts[i] maps the steps
-    remaining k to the completion count of (k, id i); stored is the
-    number of counts rec stores, which the DP guard bounds.  No count
-    stored before length n has more than n * bits bits, bits being the
-    most one step adds, so stored * n * bits must stay within
-    MAX_DP_BITS before each length.  rec looks
-    each child's count up in the child's dict before it calls itself, so
-    a stored child costs no call.
+    ids interns each canonical heights vector to an integer id; id 0 is
+    the origin.  Its key is an integer with one digit per constrained
+    dimension in radix R = (the largest of lengths) + 2, which no height
+    reaches: a state expanded with k >= 1 steps left was reached in at
+    most n - 1 steps, so its children's heights are at most n.  The up
+    move of a block raises position p by one, so the child's key is the
+    parent's plus R**p; the down move lowers position c, so it is the
+    parent's minus R**c.  One addition and one probe of ids find a
+    child, and its heights tuple is built only when its key is new.
+    need_of[i] is id i's need, set when it is interned from its parent's
+    need.  heights_of[i] and key_of[i] are read only by expand, which
+    builds moves[i] once, as a tuple of (weight, child id, the child's
+    need, the child's counts) reused for every k and every length, and
+    then sets both to None.  counts[i] maps the steps remaining k to the
+    completion count of (k, id i); stored is the number of counts rec
+    stores, which the DP guard bounds.  No count stored before length n
+    has more than n * bits bits, bits being the most one step adds, so
+    stored * n * bits must stay within MAX_DP_BITS before each length.
+    rec looks each child's count up in the child's dict before it calls
+    itself, so a stored child costs no call.
 
     An id's need is the sum of its returning heights (excursions and
     bridges, bridges as |h|).  A returning height h needs at least h
@@ -225,41 +238,57 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     bits = (walk_type.step_count - 1).bit_length()
     span = len(kinds)
     returns = tuple(int(kind.returns_to_zero) for kind in kinds)
+    doubles = tuple(kind is DimKind.BRIDGE for kind in kinds)
+    # continues[p]: position p + 1 is in the same run of equal kinds as p.
+    continues = tuple(p + 1 < span and kinds[p + 1] is kinds[p] for p in range(span))
+    radix = max(lengths) + 2
+    place = tuple(radix**p for p in range(span))
     parity_locked = not r and all(returns)
-    origin = (0,) * span
-    ids = {origin: 0}
-    heights_of = [origin]
+    ids = {0: 0}
+    heights_of = [(0,) * span]
+    key_of = [0]
+    need_of = [0]
     moves = [None]
     counts = [{0: 1}]
     limit = limits.max_dp_states
     stored = 0
 
+    def intern(key: int, heights: tuple, need: int) -> int:
+        cid = ids[key] = len(moves)
+        heights_of.append(heights)
+        key_of.append(key)
+        need_of.append(need)
+        moves.append(None)
+        counts.append({} if need else {0: 1})
+        return cid
+
     def expand(hid: int) -> tuple:
         heights = heights_of[hid]
-        need = sum(itertools.compress(heights, returns))
+        key = key_of[hid]
+        need = need_of[hid]
         built = [(r, hid, need, counts[hid])] if r else []
         ci = 0
         while ci < span:
             h = heights[ci]
-            kind = kinds[ci]
-            ret = returns[ci]
             end = ci + 1
-            while end < span and heights[end] == h and kinds[end] is kind:
+            while continues[end - 1] and heights[end] == h:
                 end += 1
             m = end - ci
-            children = [(2 * m if h == 0 and kind is DimKind.BRIDGE else m,
-                         heights[: end - 1] + (h + 1,) + heights[end:], need + ret)]
+            child_need = need + returns[ci]
+            child = key + place[end - 1]
+            cid = ids.get(child)
+            if cid is None:
+                cid = intern(child, heights[: end - 1] + (h + 1,) + heights[end:], child_need)
+            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need, counts[cid]))
             if h:
-                children.append((m, heights[:ci] + (h - 1,) + heights[ci + 1 :], need - ret))
-            for weight, child, child_need in children:
+                child_need = need - returns[ci]
+                child = key - place[ci]
                 cid = ids.get(child)
                 if cid is None:
-                    cid = ids[child] = len(heights_of)
-                    heights_of.append(child)
-                    moves.append(None)
-                    counts.append({} if child_need else {0: 1})
-                built.append((weight, cid, child_need, counts[cid]))
+                    cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
+                built.append((m, cid, child_need, counts[cid]))
             ci = end
+        heights_of[hid] = key_of[hid] = None
         built = moves[hid] = tuple(built)
         return built
 

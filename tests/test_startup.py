@@ -178,3 +178,64 @@ def test_deferred_names_can_be_wrapped_and_restored(name, owner, argv):
     status, output = facts["plain"]
     assert status == 0 and output.strip()
     assert facts["wrapped"] == facts["plain"]
+
+
+FORMULA_MODULES = ("touchard.closedforms", "touchard.exactmath")
+
+
+def test_golden_tables_load_no_formula_module():
+    loaded = loaded_after(
+        "from touchard import catalog\ncatalog.golden_table3()\ncatalog.table2_map()"
+    )
+    assert sorted(loaded.intersection(FORMULA_MODULES)) == []
+
+
+def test_verify_loads_the_formula_modules():
+    loaded = loaded_after(
+        "from touchard import catalog, walks\n"
+        "catalog.verify(walks.canonicalize_type('bdd'), 3)"
+    )
+    assert sorted(loaded.intersection(FORMULA_MODULES)) == list(FORMULA_MODULES)
+
+
+# A catalog formula name, a type whose verify calls it through the name,
+# and how many calls verify makes for n = 0..3.
+CATALOG_NAMES = [
+    ("general_sequence", "ce", 1),
+    ("general_count", "ac", 4),
+    ("catalan", "ae", 4),
+    ("ab_closed", "ab", 2),
+    ("aa_closed", "aa", 2),
+]
+
+REPLACE_BEFORE_VERIFY = """
+import json, sys
+from touchard import catalog, walks
+
+name, letters = {args}
+loaded = "touchard.closedforms" in sys.modules
+original = getattr(catalog, name)
+calls = []
+
+
+def counted(*args):
+    calls.append(args)
+    return original(*args)
+
+
+setattr(catalog, name, counted)
+report = catalog.verify(walks.canonicalize_type(letters), 3)
+sys.stdout.write(json.dumps([loaded, len(calls), report.counts()["mismatch"]]))
+"""
+
+
+@pytest.mark.parametrize("name, letters, calls", CATALOG_NAMES)
+def test_a_name_replaced_before_verify_is_the_one_verify_calls(name, letters, calls):
+    script = REPLACE_BEFORE_VERIFY.format(args=repr((name, letters)))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [False, calls, 0]

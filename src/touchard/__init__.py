@@ -6,8 +6,10 @@ brute-force and DP oracles, closed-form summations, the bijection with
 Dyck paths, golden sequence tables, and a small CLI.
 
 The public names below load their submodule on first access (PEP 562),
-so `import touchard` alone imports no submodule and each CLI subcommand
-loads only the modules it runs.
+so `import touchard` alone imports no submodule.  _on_first_call gives
+cli and catalog stand-ins for the public names they defer, so each CLI
+subcommand loads only the modules it runs and loading the golden tables
+loads no formula module.
 """
 
 _SUBMODULE_NAMES = {
@@ -91,15 +93,41 @@ __all__ = list(_MODULE_OF)
 __version__ = "1.0.0"
 
 
+def _load(name):
+    """The public name's object, importing its submodule.
+
+    __import__, unlike importlib.import_module, goes through the import
+    statement's own path, so the load shows in python -X importtime.
+    """
+    module = f"{__name__}.{_MODULE_OF[name]}"
+    return getattr(__import__(module, fromlist=(name,)), name)
+
+
 def __getattr__(name):
-    module = _MODULE_OF.get(name)
-    if module is None:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, goes through the import
-    # statement's own path, so the load shows in python -X importtime.
-    value = getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
-    globals()[name] = value
+    value = globals()[name] = _load(name)
     return value
+
+
+def _on_first_call(name, namespace):
+    """A stand-in for the public name that loads its submodule on the first call.
+
+    A call finding the stand-in still bound at namespace[name] binds the
+    loaded object there, so later calls through the namespace reach it
+    directly.  A wrapper bound there with setattr is kept; it goes on
+    calling the stand-in, which looks the name up in the submodule on each
+    call, so it never holds a stale copy of what is bound there.
+    """
+
+    def call(*args, **kwargs):
+        target = _load(name)
+        if namespace.get(name) is call:
+            namespace[name] = target
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
 def __dir__():

@@ -14,11 +14,11 @@ documented defects in the published tables, NOTE lines:
   summation quadrant_axis_sum is what actually matches the ac oracle.
 
 Loading the golden tables compiles neither closedforms nor exactmath.
-The formula functions that verify compares against are bound into this
-module's globals once, on first use: verify and named_closed_form call
-_bind_formulas first, and reading one of the names before that binds
-them all (PEP 562 __getattr__).  A name replaced with setattr before the
-binding is kept, so the function a caller sees is the one verify calls.
+The nine formula names verify calls are bound at import to
+touchard._on_first_call stand-ins: each loads its module on its first
+call and binds the loaded function in its place.  The named closed forms
+look these names up when they run, so a name replaced with setattr,
+before its first call or after, is the one verify calls.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +26,19 @@ from functools import cache
 from importlib import resources
 from itertools import zip_longest
 
+from . import _on_first_call
 from .oracle import GuardExceeded, ResourceLimits, sequence_dp
 from .walks import WalkType, canonicalize_type
+
+aa_closed = _on_first_call("aa_closed", globals())
+ab_closed = _on_first_call("ab_closed", globals())
+ace3d_count = _on_first_call("ace3d_count", globals())
+catalan = _on_first_call("catalan", globals())
+general_count = _on_first_call("general_count", globals())
+general_sequence = _on_first_call("general_sequence", globals())
+halfplane_closed = _on_first_call("halfplane_closed", globals())
+motzkin = _on_first_call("motzkin", globals())
+quadrant_axis_sum = _on_first_call("quadrant_axis_sum", globals())
 
 
 @dataclass(frozen=True)
@@ -142,61 +153,24 @@ def table2_map() -> list:
     ]
 
 
-# The formula functions verify calls, bound by _bind_formulas.
-_CLOSEDFORMS_NAMES = (
-    "aa_closed",
-    "ab_closed",
-    "ace3d_count",
-    "general_count",
-    "general_sequence",
-    "halfplane_closed",
-    "quadrant_axis_sum",
-)
-_EXACTMATH_NAMES = ("catalan", "motzkin")
-
 # Named closed forms attached to specific types, used as the third
-# verification column where one exists; built by _bind_formulas.
-_SPECIAL_CLOSED = None
-
-
-def _bind_formulas() -> dict:
-    """Bind the formula functions into this module once; the named closed forms.
-
-    A name already in the module's globals (set with setattr) is kept.
-    """
-    global _SPECIAL_CLOSED
-    if _SPECIAL_CLOSED is None:
-        # The import statement, unlike importlib.import_module, shows the
-        # loads in python -X importtime.
-        from . import closedforms, exactmath
-
-        namespace = globals()
-        for module, names in ((closedforms, _CLOSEDFORMS_NAMES), (exactmath, _EXACTMATH_NAMES)):
-            for name in names:
-                namespace.setdefault(name, getattr(module, name))
-        _SPECIAL_CLOSED = {
-            "ae": ("catalan(n+1)", lambda n: catalan(n + 1)),
-            "add": ("catalan(n+1)", lambda n: catalan(n + 1)),
-            "ab": ("catalan(n/2)*binom(n+1,n/2)", lambda n: ab_closed(n) if n % 2 == 0 else 0),
-            "aa": ("catalan(n/2)*catalan(n/2+1)", lambda n: aa_closed(n) if n % 2 == 0 else 0),
-            "ac": ("quadrant_axis_sum", quadrant_axis_sum),
-            "ad": ("motzkin(n)", motzkin),
-            "ce": ("binom(2n+1,n)", halfplane_closed),
-            "ace": ("ace3d_count", ace3d_count),
-        }
-    return _SPECIAL_CLOSED
-
-
-def __getattr__(name):
-    if name not in _CLOSEDFORMS_NAMES + _EXACTMATH_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_formulas()
-    return globals()[name]
+# verification column where one exists.  Each looks its function up in
+# this module when it runs.
+_SPECIAL_CLOSED = {
+    "ae": ("catalan(n+1)", lambda n: catalan(n + 1)),
+    "add": ("catalan(n+1)", lambda n: catalan(n + 1)),
+    "ab": ("catalan(n/2)*binom(n+1,n/2)", lambda n: ab_closed(n) if n % 2 == 0 else 0),
+    "aa": ("catalan(n/2)*catalan(n/2+1)", lambda n: aa_closed(n) if n % 2 == 0 else 0),
+    "ac": ("quadrant_axis_sum", lambda n: quadrant_axis_sum(n)),
+    "ad": ("motzkin(n)", lambda n: motzkin(n)),
+    "ce": ("binom(2n+1,n)", lambda n: halfplane_closed(n)),
+    "ace": ("ace3d_count", lambda n: ace3d_count(n)),
+}
 
 
 def named_closed_form(walk_type: WalkType):
     """(label, function) for the type's named closed form, or None."""
-    special = _bind_formulas().get(walk_type.letters)
+    special = _SPECIAL_CLOSED.get(walk_type.letters)
     if special is not None:
         return special
     if all(kind.unrestricted for kind in walk_type.dims):
@@ -301,7 +275,6 @@ def verify(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    _bind_formulas()
     records = golden_table3() if records is None else records
     letters = walk_type.letters
     record = _golden_row(records, walk_type)

@@ -16,7 +16,10 @@ import sys
 # and catalog, render and json inside the subcommands that use them.
 # Every name bound below stays a module attribute that callers may wrap
 # (touchbench/tracer.py does, step_alphabet included); the _cmd_ functions
-# call whatever is bound there when they run.
+# call whatever is bound there when they run.  The five deferred names are
+# touchard._on_first_call stand-ins, which bind the loaded function in
+# their place on the first call.
+from . import _on_first_call
 from .oracle import (
     DEFAULT_LIMITS,
     GuardExceeded,
@@ -35,29 +38,11 @@ from .walks import (
     walk_text,
 )
 
-
-def _on_first_call(module: str, name: str):
-    """A stand-in for touchard.<module>.<name> that loads the module on its first call.
-
-    Each call looks the name up in its module, so the stand-in never holds
-    a stale copy of what is bound there.  __import__, unlike
-    importlib.import_module, goes through the import statement's own path,
-    so the load shows in python -X importtime.
-    """
-    owner = f"{__package__}.{module}"
-
-    def call(*args, **kwargs):
-        return getattr(__import__(owner, fromlist=(name,)), name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
-general_count = _on_first_call("closedforms", "general_count")
-general_sequence = _on_first_call("closedforms", "general_sequence")
-dyck_to_touchard = _on_first_call("bijections", "dyck_to_touchard")
-parse_dyck = _on_first_call("bijections", "parse_dyck")
-touchard_to_dyck = _on_first_call("bijections", "touchard_to_dyck")
+general_count = _on_first_call("general_count", globals())
+general_sequence = _on_first_call("general_sequence", globals())
+dyck_to_touchard = _on_first_call("dyck_to_touchard", globals())
+parse_dyck = _on_first_call("parse_dyck", globals())
+touchard_to_dyck = _on_first_call("touchard_to_dyck", globals())
 
 ENV_MAX_STATES = "WALKS_MAX_STATES"
 

@@ -206,6 +206,10 @@ CATALOG_NAMES = [
     ("catalan", "ae", 4),
     ("ab_closed", "ab", 2),
     ("aa_closed", "aa", 2),
+    ("quadrant_axis_sum", "ac", 4),
+    ("motzkin", "ad", 4),
+    ("halfplane_closed", "ce", 4),
+    ("ace3d_count", "ace", 4),
 ]
 
 REPLACE_BEFORE_VERIFY = """
@@ -239,3 +243,81 @@ def test_a_name_replaced_before_verify_is_the_one_verify_calls(name, letters, ca
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [False, calls, 0]
+
+
+
+BOUND_ON_FIRST_CALL = """
+import contextlib, io, json, sys
+from touchard import catalog, cli, closedforms, exactmath, walks
+
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+facts = {"cli_before": cli.general_count is closedforms.general_count}
+run(["count", "--type", "ae", "--n", "4", "--method", "formula"])
+facts["cli_after"] = cli.general_count is closedforms.general_count
+catalog.verify(walks.canonicalize_type("ae"), 3)
+facts["catalog_after"] = catalog.catalan is exactmath.catalan
+
+calls = []
+stand_ins = {"cli": cli.touchard_to_dyck, "catalog": catalog.motzkin}
+
+
+def encode(walk):
+    calls.append("cli")
+    return stand_ins["cli"](walk)
+
+
+def motzkin(n):
+    calls.append("catalog")
+    return stand_ins["catalog"](n)
+
+
+cli.touchard_to_dyck = encode
+catalog.motzkin = motzkin
+run(["dyck", "encode", "NEWNSS"])
+catalog.verify(walks.canonicalize_type("ad"), 3)
+facts["wrappers_kept"] = [cli.touchard_to_dyck is encode, catalog.motzkin is motzkin]
+facts["wrapper_calls"] = [calls.count("cli"), calls.count("catalog")]
+cli.touchard_to_dyck = stand_ins["cli"]
+run(["dyck", "encode", "NEWNSS"])
+from touchard import bijections
+
+facts["restored_binds"] = cli.touchard_to_dyck is bijections.touchard_to_dyck
+sys.stdout.write(json.dumps(facts))
+"""
+
+
+def test_a_stand_in_binds_its_function_on_the_first_call_unless_wrapped():
+    """The first call binds the module's own function in the stand-in's place.
+
+    A wrapper bound with setattr before that call stays bound after it,
+    and a stand-in put back in its place binds on its next call.
+    """
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", BOUND_ON_FIRST_CALL],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "cli_before": False,
+        "cli_after": True,
+        "catalog_after": True,
+        "wrappers_kept": [True, True],
+        "wrapper_calls": [1, 4],
+        "restored_binds": True,
+    }
+
+
+def test_a_named_closed_form_loads_its_module_when_called():
+    lookup = (
+        "from touchard import catalog, walks\n"
+        "label, closed = catalog.named_closed_form(walks.canonicalize_type('ac'))"
+    )
+    assert sorted(loaded_after(lookup).intersection(FORMULA_MODULES)) == []
+    called = loaded_after(f"{lookup}\nassert closed(3) == 6")
+    assert sorted(called.intersection(FORMULA_MODULES)) == list(FORMULA_MODULES)

@@ -13,18 +13,23 @@ documented defects in the published tables, NOTE lines:
   binomial(2n + 1, n), but that closed form counts type ce; the
   summation quadrant_axis_sum is what actually matches the ac oracle.
 
-Loading the golden tables compiles neither closedforms nor exactmath.
-The nine formula names verify calls are bound at import to
-touchard._on_first_call stand-ins: each loads its module on its first
-call and binds the loaded function in its place.  The named closed forms
-look these names up when they run, so a name replaced with setattr,
-before its first call or after, is the one verify calls.
+Loading the golden tables compiles neither closedforms nor exactmath,
+and this module imports neither dataclasses (which loads inspect) nor
+importlib.resources.  The golden records, the table 2 entries and the
+report rows are NamedTuples: they copy with _replace and _asdict and
+compare as tuples.  data/table3.txt is read through the package's own
+loader, as pkgutil.get_data reads it.  The nine formula names verify
+calls are bound at import to touchard._on_first_call stand-ins: each
+loads its module on its first call and binds the loaded function in its
+place.  The named closed forms look these names up when they run, so a
+name replaced with setattr, before its first call or after, is the one
+verify calls.
 """
 
-from dataclasses import dataclass, field
+import os
 from functools import cache
-from importlib import resources
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import _on_first_call
 from .oracle import GuardExceeded, ResourceLimits, sequence_dp
@@ -41,8 +46,7 @@ motzkin = _on_first_call("motzkin", globals())
 quadrant_axis_sum = _on_first_call("quadrant_axis_sum", globals())
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(NamedTuple):
     """One golden row: a walk type and its published initial terms."""
 
     walk_type: WalkType
@@ -92,7 +96,8 @@ def golden_table3() -> list:
 
 @cache
 def _golden_records() -> tuple:
-    text = resources.files(__package__).joinpath("data/table3.txt").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", "table3.txt")
+    text = __spec__.loader.get_data(path).decode()
     records = []
     for line in text.splitlines():
         line = line.strip()
@@ -112,8 +117,7 @@ def _golden_records() -> tuple:
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class Table2Entry:
+class Table2Entry(NamedTuple):
     """A two-dimensional type mapped to its cited sequence identifier."""
 
     walk_type: WalkType
@@ -183,8 +187,7 @@ def _fmt(value) -> str:
     return "-" if value is None else str(value)
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """One verified (type, n) cell of the report."""
 
     type_letters: str
@@ -202,11 +205,26 @@ class RowCheck:
         )
 
 
-@dataclass
 class VerificationReport:
-    rows: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    """Checked rows, NOTE lines and WARN lines; each list is the report's own."""
+
+    def __init__(
+        self, rows: list | None = None, notes: list | None = None, warnings: list | None = None
+    ):
+        self.rows = [] if rows is None else rows
+        self.notes = [] if notes is None else notes
+        self.warnings = [] if warnings is None else warnings
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(rows={self.rows!r}, notes={self.notes!r}, "
+            f"warnings={self.warnings!r})"
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.notes, self.warnings) == (other.rows, other.notes, other.warnings)
 
     @property
     def ok(self) -> bool:

@@ -24,7 +24,7 @@ from .oracle import (
     DEFAULT_LIMITS,
     GuardExceeded,
     ResourceLimits,
-    _valid_walks,
+    _brute_joins,
     count_dp,
     enumerate_walks,
     sequence_dp,
@@ -98,7 +98,7 @@ def _cmd_count(args) -> int:
     if args.method == "formula":
         value = general_count(walk_type, args.n)
     elif args.method == "brute":
-        value = sum(1 for _ in _valid_walks(walk_type, args.n, limits))
+        value = sum(len(suffixes) for _, suffixes in _brute_joins(walk_type, args.n, limits))
     else:
         value = count_dp(walk_type, args.n, limits)
     print(value)

@@ -3,14 +3,16 @@
 These are the ground truth the closed forms are checked against, so the
 two routes share no counting logic: enumeration builds every valid step
 string, while the DP recurses over (steps remaining, heights of the
-constrained dimensions).  One generator, _valid_walks, is the whole
-brute-force route, guard and scan: enumerate_walks lists its walks,
-while enumerate_dyck and count --method brute read them one at a time.
-It scans the first and the second half of a walk separately, each with
-one itertools.product pass, and joins a valid prefix to the suffixes
-that complete it, so it yields the walks of the one-pass filter over all
-base**n candidates, in the same order, without building the candidates
-that fail.  What it keeps is lists of suffix step tuples, never counts.
+constrained dimensions).  One generator, _brute_joins, is the whole
+brute-force route, guard and scan.  It scans the first and the second
+half of a walk separately, each with one itertools.product pass, and
+yields each valid prefix with the list of suffixes that complete it, so
+its joins are the walks of the one-pass filter over all base**n
+candidates, in the same order, without building the candidates that
+fail.  What it keeps is lists of suffix step tuples, never counts.
+_valid_walks joins them into walks, which enumerate_walks lists and
+enumerate_dyck reads one at a time; count --method brute sums the
+lengths of the suffix lists and builds no walk.
 The DP memo keys on canonical heights: bridge heights reflected to |h|
 and the heights of same-kind dimensions sorted, so each orbit of
 interchangeable heights is one memo state.  The memo lives in the locals
@@ -67,7 +69,7 @@ def enumerate_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None =
     """All valid walks of the given length, in lexicographic token order.
 
     The guard charges every candidate step string, though the scan (see
-    _valid_walks) builds only base**(n // 2) + base**(n - n // 2) half
+    _brute_joins) builds only base**(n // 2) + base**(n - n // 2) half
     strings and the walks it keeps.  It refuses before any work when the
     candidate count base**n (base the alphabet size) or n itself exceeds
     limits.max_brute_candidates.  For base >= 2 the count exceeds the
@@ -78,7 +80,20 @@ def enumerate_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None =
 
 
 def _valid_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None):
-    """Yield enumerate_walks' walks after its guard, joining two half scans.
+    """Yield enumerate_walks' walks after its guard, one at a time.
+
+    Each is a prefix from _brute_joins followed by one of its suffixes,
+    so no walk is kept once the caller moves past it.
+    """
+    # Walk(steps) is a Python-level call; tuple.__new__ on the 1-tuples
+    # that zip makes builds the same Walk in C.
+    new_walk = functools.partial(tuple.__new__, Walk)
+    for prefix, suffixes in _brute_joins(walk_type, n, limits):
+        yield from map(new_walk, zip(map(prefix.__add__, suffixes)))
+
+
+def _brute_joins(walk_type: WalkType, n: int, limits: ResourceLimits | None):
+    """Yield (prefix, suffixes) for the walks of enumerate_walks, after its guard.
 
     A walk splits into a prefix of n // 2 steps and a suffix of the rest,
     and the token order of whole walks is the prefixes' order, each
@@ -92,8 +107,8 @@ def _valid_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None):
     whose depths are at most h on the nonnegative ones.  That list of
     suffixes is built once per distinct h on the constrained dimensions
     and holds the index's own suffix tuples, so the scan builds
-    base**(n // 2) + base**(n - n // 2) step strings plus the walks it
-    yields, one at a time, and keeps no walk.
+    base**(n // 2) + base**(n - n // 2) step strings and no walk.  Every
+    kept prefix is yielded, with an empty list when no suffix joins it.
     """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
@@ -113,9 +128,6 @@ def _valid_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None):
     constrained = tuple(not kind.unrestricted for kind in kinds)
     directions = [direction for _, direction in alphabet]
     compress = itertools.compress
-    # Walk(steps) is a Python-level call; tuple.__new__ on the 1-tuples
-    # that zip makes builds the same Walk in C.
-    new_walk = functools.partial(tuple.__new__, Walk)
 
     by_start = {}
     for suffix in itertools.product(directions, repeat=n - n // 2):
@@ -148,7 +160,7 @@ def _valid_walks(walk_type: WalkType, n: int, limits: ResourceLimits | None):
                     for depths, suffix in by_start.get(tuple(compress(heights, to_zero)), ())
                     if all(map(operator.le, depths, floor))
                 ]
-            yield from map(new_walk, zip(map(prefix.__add__, suffixes)))
+            yield prefix, suffixes
 
 
 def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:

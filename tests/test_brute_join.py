@@ -1,9 +1,12 @@
 """The brute-force route joins prefixes and suffixes: the same walks, in the same order.
 
-_valid_walks scans the first n // 2 steps and the last n - n // 2 steps
-separately and joins them by their end heights.  These tests hold it to a
-one-pass filter over every candidate string, at odd and even split points
-and at n = 0 and 1, and hold its counts to the other two routes.
+_brute_joins scans the first n // 2 steps and the last n - n // 2 steps
+separately and joins them by their end heights, and _valid_walks builds
+the joined walks.  These tests hold the walks to a one-pass filter over
+every candidate string, at odd and even split points and at n = 0 and 1,
+and hold their counts to the other two routes.  count --method brute sums
+the joined suffix lists instead of building walks, so its counts are held
+to the DP up to the guard's largest lengths.
 """
 
 import itertools
@@ -20,6 +23,7 @@ from touchard import (
     general_count,
     step_alphabet,
 )
+from touchard.cli import main
 
 from conftest import all_type_strings
 
@@ -80,3 +84,12 @@ def test_brute_count_agrees_with_dp_and_formula(letters):
     n = largest_n(walk_type, 2**16)
     brute = len(enumerate_walks(walk_type, n))
     assert brute == count_dp(walk_type, n) == general_count(walk_type, n)
+
+
+@pytest.mark.parametrize(
+    "letters, n",
+    [("ee", 11), ("ae", 11), ("bbbb", 6), ("bbbb", 7), ("cccc", 7), ("d", 9), ("a", 0)],
+)
+def test_brute_count_sums_the_joins_to_the_dp_count(capsys, letters, n):
+    assert main(["count", "--type", letters, "--n", str(n), "--method", "brute"]) == 0
+    assert capsys.readouterr().out == f"{count_dp(canonicalize_type(letters), n)}\n"

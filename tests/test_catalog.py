@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from touchard import (
@@ -144,7 +142,7 @@ def test_verify_transposed_row_is_erratum_not_mismatch():
 def test_verify_doctored_golden_is_hard_mismatch():
     records = golden_table3()
     doctored = [
-        dataclasses.replace(rec, terms=(1, 0, 999))
+        rec._replace(terms=(1, 0, 999))
         if rec.walk_type.letters == "aaa"
         else rec
         for rec in records

@@ -189,11 +189,9 @@ def test_verify_table3_prefix_exit_0(capsys):
 
 
 def test_verify_golden_mismatch_exits_2(capsys, monkeypatch):
-    import dataclasses
-
     real = catalog.golden_table3()
     doctored = [
-        dataclasses.replace(rec, terms=(1, 999))
+        rec._replace(terms=(1, 999))
         if rec.walk_type.letters == "aac"
         else rec
         for rec in real

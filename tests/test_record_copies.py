@@ -1,4 +1,4 @@
-"""Walk types, Dyck paths and the golden records survive pickle and copy."""
+"""Walk types, Dyck paths, the golden records and report rows survive pickle and copy."""
 
 import copy
 import dataclasses
@@ -6,9 +6,26 @@ import pickle
 
 import pytest
 
-from touchard import DyckPath, WalkType, canonicalize_type, golden_table3
+from touchard import (
+    DyckPath,
+    RowCheck,
+    VerificationReport,
+    WalkType,
+    canonicalize_type,
+    golden_table3,
+    table2_map,
+)
 
-RECORDS = [canonicalize_type("ea"), canonicalize_type("bdd"), DyckPath("NNSNSS"), DyckPath("")]
+ROW = RowCheck("bdd", 1, 2, 2, None, 3, "erratum")
+RECORDS = [
+    canonicalize_type("ea"),
+    canonicalize_type("bdd"),
+    DyckPath("NNSNSS"),
+    DyckPath(""),
+    pytest.param(golden_table3()[0], id="golden-aaa"),
+    pytest.param(table2_map()[0], id="table2-aa"),
+    pytest.param(ROW, id="row-bdd-1"),
+]
 ROUND_TRIPS = {
     "pickle": lambda record: pickle.loads(pickle.dumps(record)),
     "copy": copy.copy,
@@ -35,8 +52,39 @@ def test_round_trip_keeps_the_walk_type_usable():
 
 def test_asdict_of_a_golden_record():
     record = golden_table3()[0]
-    fields = dataclasses.asdict(record)
+    fields = record._asdict()
     assert fields["walk_type"] == record.walk_type
     assert isinstance(fields["walk_type"], WalkType)
     assert fields["terms"] == record.terms
-    assert dataclasses.replace(record, **fields) == record
+    assert record._replace(**fields) == record
+
+
+def test_walk_type_survives_dataclass_asdict():
+    @dataclasses.dataclass(frozen=True)
+    class Holder:
+        walk_type: WalkType
+
+    fields = dataclasses.asdict(Holder(canonicalize_type("bdd")))
+    assert fields == {"walk_type": canonicalize_type("bdd")}
+    assert isinstance(fields["walk_type"], WalkType)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(golden_table3()[0], "terms"), (table2_map()[0], "oeis_id"), (ROW, "status")],
+    ids=["golden", "table2", "row"],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_reports_own_their_lists_and_compare_by_value():
+    first, second = VerificationReport(), VerificationReport()
+    first.rows.append(ROW)
+    first.notes.append("note")
+    first.warnings.append("warning")
+    assert (second.rows, second.notes, second.warnings) == ([], [], [])
+    assert first != second
+    assert first == VerificationReport(rows=[ROW], notes=["note"], warnings=["warning"])
+    assert repr(second) == "VerificationReport(rows=[], notes=[], warnings=[])"

@@ -79,6 +79,25 @@ def test_subcommands_load_their_modules(argv, module):
     assert module in loaded
 
 
+# The golden records and report rows are NamedTuples and the table is read
+# through the package's loader, so neither path loads these.
+RECORD_HEAVY = ("dataclasses", "inspect", "importlib.resources")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from touchard import catalog\ncatalog.golden_table3()",
+        "from touchard import cli\ncli.main(['verify', '--type', 'bdd', '--n-max', '3'])",
+    ],
+    ids=["golden_table3", "verify"],
+)
+def test_golden_records_and_verify_skip_dataclasses_and_inspect(code):
+    loaded = loaded_after(code)
+    assert "touchard.catalog" in loaded
+    assert sorted(loaded.intersection(RECORD_HEAVY)) == []
+
+
 DEFERRED = ("touchard.closedforms", "touchard.exactmath", "touchard.bijections")
 
 

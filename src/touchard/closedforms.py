@@ -84,17 +84,18 @@ dimensions.
 
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
-O(n)-bit numbers.  Both functions estimate that work before starting and
-raise GuardExceeded when it exceeds MAX_FORMULA_WORK.  _check charges
-by factors, not by units.  A one-factor count is one table, like its
-sequence, so both admit c up to n = 92 680.  A two-factor count is its
-n // step + 1 rolled terms: ae and aa up to 46 339, ce and cc up to
-32 767.  A count of h >= 3 factors is a table per constrained dimension
-plus Pascal row n, h - 2 convolutions in full and one at n alone; a
-sequence of h factors is h tables and h - 1 convolutions in full.  A
-square is charged as a full product.  Units never do more than that, so
-a grouped count or sequence is overcharged: cccc's count is refused past
-n = 1 124, where it takes about 3 ms, and its sequence past 982.
+O(n)-bit numbers.  Both functions estimate the work of the unit plan
+they run before starting and raise GuardExceeded when it exceeds
+MAX_FORMULA_WORK (_check).  A one-unit count is one table, like its
+sequence, so both admit c up to n = 92 680.  A two-unit count is its
+n // 2 + 1 rolled terms when a unit's odd terms are 0 and n + 1
+otherwise: ae and aa up to 46 339, ce and cc up to 32 767, and the
+grouped types of three or four factors, whose terms have more bits, up
+to 37 835 (aaaa) or 26 753 (cccc).  A three-unit count is three tables
+plus Pascal row n, one convolution in full and one at n alone, so aaad
+to cccd are admitted up to 1 364.  A sequence is a table per distinct
+unit and a convolution in full per unit after the first, a square
+charged as a full product: cccc up to 1 364, aaad up to 1 125.
 """
 
 from functools import cache
@@ -116,8 +117,10 @@ from .oracle import GuardExceeded
 from .walks import DimKind, WalkType
 
 # Budget of the master summation, in bit operations (see _check).  Stored
-# term tables stay within this many bits (512 MiB), and on a 2-core Xeon
-# guest the slowest admitted requests, at the largest n, took about 5 s.
+# term tables stay within this many bits (512 MiB).  At the largest n
+# admitted, the slowest count (accd at n = 1 364) took 1.6 to 2.4 s and the
+# slowest sequences (ccce and bcee at 1 364, cdd at 1 623) 2.0 to 3.1 s, at
+# 16 MiB peak RSS: best of 3 on a 2-core Xeon guest whose speed drifts.
 MAX_FORMULA_WORK = 2**32
 
 
@@ -446,11 +449,10 @@ def _check(walk_type: WalkType, n: int, bits: int, tables=0, full=0, at_n=0, rol
     rolled term takes one multiplication and one exact division by a
     small integer: 2 * size.
 
-    Callers count tables and convolutions by factors, not by units: one
-    table per factor and a convolution per factor after the first.  A
-    group rolls one table in place of two tables and their convolution,
-    so the charge bounds the work of every unit plan, and the trip points
-    depend on the factors alone.
+    Callers charge the unit plan they run (_plan): a table per distinct
+    unit, Pascal row n when a count convolves, a convolution per unit
+    after the first, and a pair's rolled terms.  A square is charged as a
+    full product.
     """
     if n < 0:
         raise ValueError(f"the master summation requires n >= 0, got {n}")
@@ -540,20 +542,19 @@ def _units(factors: tuple, r: int) -> tuple:
 
 @cache
 def _plan(walk_type: WalkType) -> tuple:
-    """(factor_count, r, bits, units, pair): what general_count and general_sequence need of a type.
+    """(r, bits, units, pair): what general_count and general_sequence need of a type.
 
-    The factors are the constrained kinds, then DimKind.FREE for e^{r x}
-    when r > 0, and _check charges for their count; units are what both
-    entry points compute with (_units); bits, of one step's choice among
-    the type's directions, sizes terms for _check; pair is the rolled sum
-    of two units (_pair), or None.  Each of the 125 types is planned on
-    first use.
+    units are what both entry points compute with (_units), from the
+    constrained kinds and DimKind.FREE for e^{r x} when r > 0; bits, of
+    one step's choice among the type's directions, sizes terms for _check;
+    pair is the rolled sum of two units (_pair), or None.  Each of the 125
+    types is planned on first use.
     """
     r = walk_type.free_direction_count
     factors = walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0)
     units = _units(factors, r)
     pair = _pair(*units, r) if len(units) == 2 else None
-    return len(factors), r, max(1, (walk_type.step_count - 1).bit_length()), units, pair
+    return r, max(1, (walk_type.step_count - 1).bit_length()), units, pair
 
 
 def general_count(walk_type: WalkType, n: int) -> int:
@@ -563,23 +564,21 @@ def general_count(walk_type: WalkType, n: int) -> int:
     two a rolled sum (_rolled_sum), without a term table.  Three units, a
     group, a kind and e^{x}, convolve the first two tables in full and
     evaluate the product with e^{x} at index n alone, against Pascal row
-    n.  Raises GuardExceeded, before any work, when the estimated work
-    exceeds MAX_FORMULA_WORK; three or more factors are charged as a table
-    per constrained dimension and their convolutions (_check).
+    n.  Raises GuardExceeded, before any work, when the estimated work of
+    that plan exceeds MAX_FORMULA_WORK (_check).
     """
-    factor_count, r, bits, units, pair = _plan(walk_type)
-    if factor_count == 1:
+    r, bits, units, pair = _plan(walk_type)
+    if pair:
+        # n // 2 + 1 rolled terms when a unit's odd terms are 0, n + 1 otherwise.
+        a, b = units
+        step = 2 if a.returns_to_zero or b.returns_to_zero else 1
+        _check(walk_type, n, bits, rolled=n // step + 1)
+        return _rolled_sum(pair, n)
+    if len(units) == 1:
         _check(walk_type, n, bits, tables=1)
         return _term(*units, n, r)
-    if factor_count == 2:
-        # n // 2 + 1 rolled terms when a factor's odd terms are 0, n + 1
-        # otherwise; kinds are sorted, so an excursion or bridge comes first.
-        _check(walk_type, n, bits, rolled=n // (2 if units[0].returns_to_zero else 1) + 1)
-        return _rolled_sum(pair, n)
-    # One table per dimension at most, plus Pascal row n, whatever the units.
-    _check(walk_type, n, bits, factor_count - (r > 0) + 1, full=factor_count - 2, at_n=1)
-    if pair:
-        return _rolled_sum(pair, n)
+    # Three tables and Pascal row n.
+    _check(walk_type, n, bits, tables=4, full=1, at_n=1)
     *plan, (_, a, a_even, b, b_even) = _factors(units, r, n)[0]
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
 
@@ -592,8 +591,8 @@ def general_sequence(walk_type: WalkType, n_max: int) -> list:
     single unit is its own table, with nothing to convolve.  Raises
     GuardExceeded like general_count.
     """
-    factor_count, r, bits, units, _ = _plan(walk_type)
-    _check(walk_type, n_max, bits, factor_count, full=factor_count - 1)
+    r, bits, units, _ = _plan(walk_type)
+    _check(walk_type, n_max, bits, len(set(units)), full=len(units) - 1)
     plan, product = _factors(units, r, n_max)
     if plan:
         _convolve(plan, n_max)
@@ -628,18 +627,17 @@ def quadrant_axis_sum(n: int) -> int:
     """sum_i catalan(i) * binomial(n - 2i, floor((n-2i)/2)) * binomial(n, 2i).
 
     This is the summation attached to the excursion x meander type; the
-    oracle confirms it counts those walks exactly.  The published claim
-    that it also equals binomial(2n + 1, n) is wrong: that closed form
-    counts the meander x free type instead (see halfplane_closed), and
-    the two disagree from n = 1 on.  catalog.verify reports the
-    discrepancy as a NOTE.
+    oracle confirms it counts those walks exactly.  It is evaluated as the
+    ac group's product form, catalan(ceil(n/2)) * binomial(2 floor(n/2) + 1,
+    floor(n/2)), not as the sum the master summation computes.  The
+    published claim that it also equals binomial(2n + 1, n) is wrong:
+    that closed form counts the meander x free type instead (see
+    halfplane_closed), and the two disagree from n = 1 on.  catalog.verify
+    reports the discrepancy as a NOTE.
     """
     if n < 0:
         raise ValueError(f"quadrant_axis_sum requires n >= 0, got {n}")
-    return sum(
-        catalan(i) * central_binomial_any(n - 2 * i) * binomial(n, 2 * i)
-        for i in range(n // 2 + 1)
-    )
+    return _GROUPS["ac"].count(n)
 
 
 def halfplane_closed(n: int) -> int:

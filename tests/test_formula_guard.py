@@ -23,7 +23,7 @@ ONE_FACTOR_TRIP_POINTS = {
 
 # SHA-256 of the lines f"{letters} {count_trip} {sequence_trip}\n" of the
 # other 108 types, in all_type_strings(4) order.
-OTHER_TRIP_POINTS_SHA256 = "94823438d7e23c0a664c39215379e513c9077e084fe533f41104e77fe911d1a2"
+OTHER_TRIP_POINTS_SHA256 = "57f45a0863189d9a9671d6581d87886d92d8cc3ebe24254d2c8f23f637b24161"
 
 
 class Admitted(Exception):

@@ -40,9 +40,9 @@ def no_work(monkeypatch):
         (general_count, "ad", 46339),
         (general_count, "cd", 32767),
         (general_count, "bdde", 37835),
-        (general_count, "acd", 1364),
+        (general_count, "acd", 26753),
         (general_sequence, "ad", 1623),
-        (general_sequence, "acd", 1125),
+        (general_sequence, "acd", 1364),
     ],
 )
 def test_one_way_guard_trip_points(no_work, route, letters, largest):

@@ -1,7 +1,8 @@
-"""The formula guard charges a two-factor count for its rolled terms, and a convolution as before.
+"""The formula guard charges a count of two units for its rolled terms.
 
-A count of two groups is one rolled sum too, but it is still charged as
-the convolution it replaces.
+Two factors are two units, and a count of three or four factors whose
+units are two groups, or a group and a kind, is one rolled sum too, so
+cccc and aaaa are charged as the rolled sums they run.
 """
 
 from math import comb
@@ -22,7 +23,10 @@ def test_north_side_count_at_20000():
 
 @pytest.mark.parametrize(
     "letters, largest",
-    [("ae", 46339), ("aa", 46339), ("ab", 46339), ("ce", 32767), ("cc", 32767)],
+    [
+        ("ae", 46339), ("aa", 46339), ("ab", 46339), ("ce", 32767), ("cc", 32767),
+        ("cccc", 26753), ("aaaa", 37835),
+    ],
 )
 def test_rolled_guard_trip_points(monkeypatch, letters, largest):
     monkeypatch.setattr(closedforms, "_rolled_sum", lambda *args: "admitted")
@@ -30,19 +34,3 @@ def test_rolled_guard_trip_points(monkeypatch, letters, largest):
     assert general_count(wt, largest) == "admitted"
     with pytest.raises(GuardExceeded, match="bit operations"):
         general_count(wt, largest + 1)
-
-
-def test_convolution_guard_still_stops_cccc_after_1124(monkeypatch):
-    class Admitted(Exception):
-        pass
-
-    def admitted(*args):
-        raise Admitted
-
-    monkeypatch.setattr(closedforms, "_factors", admitted)
-    monkeypatch.setattr(closedforms, "_rolled_sum", admitted)
-    cccc = canonicalize_type("cccc")
-    with pytest.raises(Admitted):
-        general_count(cccc, 1124)
-    with pytest.raises(GuardExceeded, match="bit operations"):
-        general_count(cccc, 1125)

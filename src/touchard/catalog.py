@@ -260,17 +260,27 @@ def _golden_row(records: list, walk_type: WalkType) -> SequenceRecord | None:
 def _formula_prefix(walk_type: WalkType, n_max: int) -> tuple:
     """Master-summation counts for the longest admitted prefix of 0..n_max.
 
-    Tries n_max, n_max // 2, ..., 0 and returns (counts, refusal), where
-    refusal is the guard's refusal of the whole row, or None.  The guard
-    trips before any table is built, so a refusal costs nothing.
+    Returns (counts, refusal), where refusal is the guard's refusal of the
+    whole row, or None.  The guard trips before any table is built, so
+    after a refusal the largest admitted n is found by bisection on the
+    guard alone (closedforms._sequence_units), and only that prefix is
+    computed.
     """
-    refusal = None
-    for n in (n_max >> k for k in range(n_max.bit_length() + 1)):
+    try:
+        return general_sequence(walk_type, n_max), None
+    except GuardExceeded as exc:
+        refusal = exc
+    from .closedforms import _sequence_units  # loaded by the refused call
+
+    admitted, refused = -1, n_max
+    while refused - admitted > 1:
+        n = (admitted + refused) // 2
         try:
-            return general_sequence(walk_type, n), refusal
-        except GuardExceeded as exc:
-            refusal = refusal or exc
-    return [], refusal
+            _sequence_units(walk_type, n)
+            admitted = n
+        except GuardExceeded:
+            refused = n
+    return general_sequence(walk_type, admitted) if admitted >= 0 else [], refusal
 
 
 def verify(

@@ -17,12 +17,12 @@ and a walk of the type interleaves one walk per factor, so
 Every factor is hypergeometric: its EGF coefficient e_m = term m / m!
 is e_(m-2) times a ratio of small integers, one per parity class of m,
 and for a meander or e^{r x}, whose terms are never 0, e_(m-1) times
-one.  Each ratio is data (_KIND_RATIOS, _one_step, _GROUPS): a constant
-times linear factors c m + o over a constant times linear factors, and
-over one parity class each factor runs through a range.  An excursion's
-is 4 / ((m + 2)(m + 4)), a meander's 2 / (m + 2) for even m and
-2 / (m + 1) for odd m, and e^{r x}'s r / (m + 1).  Every route below
-rolls terms by these ratios.
+one.  Each ratio is data, kept in the factor's unit record (_Unit): a
+constant times linear factors c m + o over a constant times linear
+factors, and over one parity class each factor runs through a range.
+An excursion's is 4 / ((m + 2)(m + 4)), a meander's 2 / (m + 2) for
+even m and 2 / (m + 1) for odd m, and e^{r x}'s r / (m + 1).  Every
+route below rolls terms by these ratios.
 
 A type with one or two factors needs no term table.  One factor's count
 is its term n, from exactmath.  Two factors a and b make the single sum
@@ -48,19 +48,22 @@ hypergeometric in each parity class of n: the six constrained pairs aa,
 ab, ac, bb, bc and cc, and ae, be and ce, a constrained kind with a pool
 of r = 2 free directions.  Each is a group (_GROUPS): its count at m is a
 product form from exactmath, and its EGF coefficient g_m = count / m! is
-g_(m-2) times a quotient of small integers, one per parity class.  Every
-route below takes a group as it takes a kind.
+g_(m-2) times a quotient of small integers, one per parity class.
 
 _plan splits each type once into units, and both entry points compute
-with them (_units).  One or two factors are their own units.  Three or
-four make two units, at least one a group: (pair) single, as
-ccc = (cc) c; (pair) e^{r x}, as acd = (ac) e^{x}; (pair) (pair), as
-cccc = (cc) (cc); and (x e^{2x}) (pair), as abce = (ae) (bc).  e^{x} and
-one kind make no group, so the ten types of three constrained kinds and
-one d (aaad to cccd) have three units: a group, a kind and e^{x}, as
-aacd = (aa) c e^{x}.  The two-factor types keep their sum over two kinds,
-so the closed forms that catalog.verify sets beside them stay
-independent of the groups' product forms.
+with them.  A unit is one record (_Unit), whether it stands for a kind
+(_KINDS), for e^{r x} (_free) or for a group (_GROUPS): its count at m,
+its two-step ratios and, for a meander and e^{r x}, its one-step ones.
+So every route below takes a unit without asking what it stands for.
+One or two factors are their own units.  Three or four make two units,
+at least one a group: (pair) single, as ccc = (cc) c; (pair) e^{r x}, as
+acd = (ac) e^{x}; (pair) (pair), as cccc = (cc) (cc); and (x e^{2x})
+(pair), as abce = (ae) (bc).  e^{x} and one kind make no group, so the
+ten types of three constrained kinds and one d (aaad to cccd) have three
+units: a group, a kind and e^{x}, as aacd = (aa) c e^{x}.  The
+two-factor types keep their sum over two kinds, so the closed forms that
+catalog.verify sets beside them stay independent of the groups' product
+forms.
 
 general_count takes one unit's term n and sums two units in one rolled
 pass of about n + 1 terms, so only those ten types and general_sequence
@@ -114,7 +117,7 @@ from .exactmath import (
     multinomial,
 )
 from .oracle import GuardExceeded
-from .walks import DimKind, WalkType
+from .walks import WalkType
 
 # Budget of the master summation, in bit operations (see _check).  Stored
 # term tables stay within this many bits (512 MiB).  At the largest n
@@ -156,24 +159,71 @@ def _m(*offsets) -> tuple:
     return tuple((1, o) for o in offsets)
 
 
-class _Group(NamedTuple):
-    """Two factors taken as one: a two-factor type whose counts are hypergeometric.
+class _Unit(NamedTuple):
+    """One unit of the master summation: a kind, e^{r x} or a group of two factors.
 
-    count(m) is the type's count at length m, a product form from
-    exactmath.  even and odd are ratios (num, den) of _Polys with
-    g_(m + 2) / g_m = num(m) / den(m) for even and for odd m, where
-    g_m = count(m) / m! is the group's EGF coefficient.  odd is None when
-    every odd term is 0.
+    count(m) is the unit's walks of m steps: a kind's term m or a group's
+    product form, from exactmath, or r^m.  even and odd are ratios
+    (num, den) of _Polys with u_(m + 2) / u_m = num(m) / den(m) for even
+    and for odd m, where u_m = count(m) / m! is the unit's EGF
+    coefficient.  odd is None when every odd term is 0.  one holds the
+    ratios u_(m + 1) / u_m for even and for odd m of a meander and of
+    e^{r x}, whose terms are never 0, and is None for every other unit.
     """
 
     count: Callable
     even: tuple
     odd: tuple | None
+    one: tuple | None = None
 
     @property
     def returns_to_zero(self) -> bool:
         """Every odd count is 0, as for an excursion or a bridge."""
         return self.odd is None
+
+
+def _stepped(count: Callable, one: tuple) -> _Unit:
+    """The unit with one-step ratios one, whose terms are never 0.
+
+    Each two-step ratio is one's at m times the other parity's at m + 1.
+    """
+    even, odd = (
+        tuple(
+            _Poly(
+                this.const * after.const,
+                this.factors + tuple((c, o + c) for c, o in after.factors),
+            )
+            for this, after in zip(one[parity], one[1 - parity])
+        )
+        for parity in (0, 1)
+    )
+    return _Unit(count, even, odd, one)
+
+
+# The constrained kinds, by letter.  An excursion has u_(2i) = 1 / (i! (i + 1)!)
+# and a bridge 1 / (i! i!), and their odd terms are 0, so they keep
+# u_(m + 2) / u_m for even m alone.  A meander has
+# u_m = 1 / (floor(m / 2)! ceil(m / 2)!), never 0.  Each count, like each
+# group's below, calls exactmath through this module's names when it runs,
+# not through references taken at import.
+_KINDS = {
+    "a": _Unit(lambda m: 0 if m % 2 else catalan(m // 2), (_Poly(4), _Poly(1, _m(2, 4))), None),
+    "b": _Unit(
+        lambda m: 0 if m % 2 else central_binomial_even(m // 2),
+        (_Poly(4), _Poly(1, _m(2, 2))),
+        None,
+    ),
+    "c": _stepped(
+        lambda m: central_binomial_any(m),
+        ((_Poly(2), _Poly(1, _m(2))), (_Poly(2), _Poly(1, _m(1)))),
+    ),
+}
+
+
+@cache
+def _free(r: int) -> _Unit:
+    """e^{r x}, the pool of all r unrestricted directions: r^m walks of m steps."""
+    return _stepped(lambda m: r**m, ((_Poly(r), _Poly(1, _m(1))),) * 2)
 
 
 # The nine groups, by the letters of their two-factor types.  Each ratio is
@@ -185,83 +235,45 @@ class _Group(NamedTuple):
 # elimination (Petkovsek, Wilf and Zeilberger, A = B, 1996), and
 # tests/test_pair_groups.py checks both against the master summation to
 # m = 1200.  ae, be and ce pair a kind with e^{2x}: they stand for a pool
-# of r = 2 free directions only, and one ratio serves both parities.  Like
-# _term, each count calls exactmath through this module's names when it
-# runs, not through references taken at import.
+# of r = 2 free directions only, and one ratio serves both parities.
 _AE = (_Poly(4, ((2, 3), (2, 5))), _Poly(1, _m(1, 2, 3, 4)))
 _BE = (_Poly(4, ((2, 1), (2, 3))), _Poly(1, _m(1, 1, 2, 2)))
 _CE = (_Poly(4, ((2, 3), (2, 5))), _Poly(1, _m(1, 2, 2, 3)))
 _GROUPS = {
-    "aa": _Group(
+    "aa": _Unit(
         lambda m: 0 if m % 2 else catalan(m // 2) * catalan(m // 2 + 1),
         (_Poly(16, _m(3)), _Poly(1, _m(2, 4, 6))),
         None,
     ),
-    "ab": _Group(
+    "ab": _Unit(
         lambda m: 0 if m % 2 else catalan(m // 2) * binomial(m + 1, m // 2),
         (_Poly(16, _m(3)), _Poly(1, _m(2, 4, 4))),
         None,
     ),
-    "ac": _Group(
+    "ac": _Unit(
         lambda m: catalan((m + 1) // 2) * binomial(m // 2 * 2 + 1, m // 2),
         (_Poly(16, _m(3)), _Poly(1, _m(2, 4, 4))),
         (_Poly(16, _m(2)), _Poly(1, _m(1, 3, 5))),
     ),
-    "bb": _Group(
+    "bb": _Unit(
         lambda m: 0 if m % 2 else central_binomial_even(m // 2) ** 2,
         (_Poly(16, _m(1)), _Poly(1, _m(2, 2, 2))),
         None,
     ),
-    "bc": _Group(
+    "bc": _Unit(
         lambda m: central_binomial_any(m) ** 2,
         (_Poly(16, _m(1)), _Poly(1, _m(2, 2, 2))),
         (_Poly(16, _m(2)), _Poly(1, _m(1, 3, 3))),
     ),
-    "cc": _Group(
+    "cc": _Unit(
         lambda m: central_binomial_any(m) * binomial(m + 1, (m + 1) // 2),
         (_Poly(16, _m(3)), _Poly(1, _m(2, 2, 4))),
         (_Poly(16, _m(2)), _Poly(1, _m(1, 3, 3))),
     ),
-    "ae": _Group(lambda m: catalan(m + 1), _AE, _AE),
-    "be": _Group(lambda m: central_binomial_even(m), _BE, _BE),
-    "ce": _Group(lambda m: binomial(2 * m + 1, m), _CE, _CE),
+    "ae": _Unit(lambda m: catalan(m + 1), _AE, _AE),
+    "be": _Unit(lambda m: central_binomial_even(m), _BE, _BE),
+    "ce": _Unit(lambda m: binomial(2 * m + 1, m), _CE, _CE),
 }
-
-# The kinds' ratios, where e_m = term m / m! is the kind's EGF coefficient.
-# An excursion has e_(2i) = 1 / (i! (i + 1)!) and a bridge 1 / (i! i!), and
-# their odd terms are 0, so they keep e_(m + 2) / e_m for even m alone.  A
-# meander has e_m = 1 / (floor(m / 2)! ceil(m / 2)!) and DimKind.FREE, the
-# pool e^{r x} of all r unrestricted directions, r^m / m!: no term is 0, so
-# they keep e_(m + 1) / e_m for even and for odd m (_one_step).
-_KIND_RATIOS = {
-    DimKind.EXCURSION: (_Poly(4), _Poly(1, _m(2, 4))),
-    DimKind.BRIDGE: (_Poly(4), _Poly(1, _m(2, 2))),
-}
-_MEANDER = ((_Poly(2), _Poly(1, _m(2))), (_Poly(2), _Poly(1, _m(1))))
-
-
-def _one_step(factor, r: int):
-    """A meander's or e^{r x}'s ratios e_(m + 1) / e_m for even and odd m, else None."""
-    if factor is DimKind.MEANDER:
-        return _MEANDER
-    if factor is DimKind.FREE:
-        return ((_Poly(r), _Poly(1, _m(1))),) * 2
-    return None
-
-
-def _ratio(factor, r: int, parity: int):
-    """The ratio (num, den) of e_(m + 2) / e_m over m of one parity; None where e_m is 0."""
-    if isinstance(factor, _Group):
-        return factor.odd if parity else factor.even
-    one = _one_step(factor, r)
-    if one is None:
-        return None if parity else _KIND_RATIOS[factor]
-    # The ratio at m times the other parity's at m + 1.
-    return tuple(
-        _Poly(this.const * after.const, this.factors + tuple((c, o + c) for c, o in after.factors))
-        for this, after in zip(one[parity], one[1 - parity])
-    )
-
 
 def _side(const: int, k_factors: tuple, j_factors: tuple, first: int, odd_n: int, step: int):
     """(const, lines): one side of a class's step, const times a h + b + c i per line (a, b, c).
@@ -316,18 +328,16 @@ def _roll(term: int, nums, dens):
 
 
 @cache
-def _kind_plan(kind, r: int) -> tuple:
+def _kind_plan(unit: _Unit) -> tuple:
     """The classes (first, term first, num side, den side) that roll one unit's terms.
 
-    A unit is a kind or a group.  Term m is m! e_m, or a group's count, so
-    term m + 2 is term m times (m + 1)(m + 2) num(m) / den(m) of _ratio,
-    less the factors that num and den share.  Each class starts from its
-    first term (_term); an excursion, a bridge or a group whose odd counts
-    are 0 has no odd class.
+    Term m is the unit's count, m! u_m, so term m + 2 is term m times
+    (m + 1)(m + 2) num(m) / den(m) of its two-step ratio, less the factors
+    that num and den share.  Each class starts from its first term
+    (_term); a unit whose odd terms are 0 has no odd class.
     """
     classes = []
-    for first in (0, 1):
-        ratio = _ratio(kind, r, first)
+    for first, ratio in enumerate((unit.even, unit.odd)):
         if ratio:
             num, den = ratio
             nums, dens = [*num.factors, *_m(1, 2)], list(den.factors)
@@ -336,14 +346,14 @@ def _kind_plan(kind, r: int) -> tuple:
                     nums.remove(factor)
                     dens.remove(factor)
             p, q = _side(num.const, nums, (), first, 0, 2), _side(den.const, dens, (), first, 0, 2)
-            classes.append((first, _term(kind, first, r), *_reduced(p, q)))
+            classes.append((first, _term(unit, first), *_reduced(p, q)))
     return tuple(classes)
 
 
-def _kind_terms(kind, r: int, n: int) -> list:
+def _kind_terms(unit: _Unit, n: int) -> list:
     """Terms 0..n of one unit, each parity class rolled by its plan (_kind_plan)."""
     terms = [0] * (n + 1)
-    for first, term, num, den in _kind_plan(kind, r):
+    for first, term, num, den in _kind_plan(unit):
         if first > n:
             break
         count = (n - first) // 2
@@ -351,17 +361,9 @@ def _kind_terms(kind, r: int, n: int) -> list:
     return terms
 
 
-def _term(factor, k: int, r: int) -> int:
-    """Term k of one factor's EGF, or a group's count at k, from exactmath."""
-    if factor is DimKind.EXCURSION:
-        return 0 if k % 2 else catalan(k // 2)
-    if factor is DimKind.BRIDGE:
-        return 0 if k % 2 else central_binomial_even(k // 2)
-    if factor is DimKind.MEANDER:
-        return central_binomial_any(k)
-    if isinstance(factor, _Group):
-        return factor.count(k)
-    return r**k
+def _term(unit: _Unit, k: int) -> int:
+    """Term k of one unit: its count at k, from exactmath."""
+    return unit.count(k)
 
 
 def _step(a_ratio: tuple, b_ratio: tuple, first: int, odd_n: int, step: int) -> tuple:
@@ -372,8 +374,8 @@ def _step(a_ratio: tuple, b_ratio: tuple, first: int, odd_n: int, step: int) -> 
     return _reduced(p, q)
 
 
-def _pair(a, b, r: int) -> tuple:
-    """(a, b, r, classes): the plan of the rolled sum of a and b (_rolled_sum).
+def _pair(a: _Unit, b: _Unit) -> tuple:
+    """(a, b, classes): the plan of the rolled sum of a and b (_rolled_sum).
 
     classes holds, for even and for odd n, the classes (first, steps): the
     terms k = first, first + 2, ... whose a_k and b_(n-k) are not all 0,
@@ -383,36 +385,42 @@ def _pair(a, b, r: int) -> tuple:
     to k + 1 and from odd k to k + 1, so every divisor stays about n / 2.
     Each step's constants fold into one fraction, reduced by gcd.
     """
-    a_one, b_one = _one_step(a, r), _one_step(b, r)
     classes = ([], [])
     for odd_n in (0, 1):
-        if a_one and b_one:
-            steps = tuple(_step(a_one[k], b_one[(odd_n - k - 1) % 2], k, odd_n, 1) for k in (0, 1))
+        if a.one and b.one:
+            # Two-step classes would count these pairs too, but each of their
+            # divisors is a product of two factors near n / 2 where a one-step
+            # divisor is one.  With two-step classes alone, per-n counts of ce
+            # and of cc for n = 0..500 took 41 to 56 ms each against 30 to 38
+            # ms (best of 15, 2-core Xeon guest); at n = 32 767 the two plans
+            # came within about 10 % of each other.
+            steps = tuple(_step(a.one[k], b.one[(odd_n - k - 1) % 2], k, odd_n, 1) for k in (0, 1))
             classes[odd_n].append((0, steps))
             continue
         for first in (0, 1):
-            a_ratio, b_ratio = _ratio(a, r, first), _ratio(b, r, (odd_n - first) % 2)
+            a_ratio = a.odd if first else a.even
+            b_ratio = b.odd if (odd_n - first) % 2 else b.even
             if a_ratio and b_ratio:
                 classes[odd_n].append((first, (_step(a_ratio, b_ratio, first, odd_n, 2),)))
-    return a, b, r, classes
+    return a, b, classes
 
 
 def _rolled_sum(pair: tuple, n: int) -> int:
     """sum_k binomial(n, k) a_k b_(n-k) of a pair (_pair), each term rolled from the one before.
 
-    a and b are kinds or groups.  Term k is n! e_k f_(n-k) for the EGF
+    a and b are units.  Term k is n! e_k f_(n-k) for the EGF
     coefficients e of a and f of b, so the sum runs over each class of k
     that _pair planned, by its steps: one multiplication by p, one exact
     division by q, both small integers read off ranges, and one addition
     per term.  A class starts from its first term, from exactmath: b_n at
     k = 0 and n a_1 b_(n-1) at k = 1.
     """
-    a, b, r, classes = pair
+    a, b, classes = pair
     h, total = n // 2, 0
     for first, steps in classes[n % 2]:
         if first > n:
             break
-        term = n * _term(a, 1, r) * _term(b, n - 1, r) if first else _term(b, n, r)
+        term = n * _term(a, 1) * _term(b, n - 1) if first else _term(b, n)
         total += term
         (p_side, q_side), *odd = steps
         count = (n - first + len(odd)) // 2
@@ -467,7 +475,7 @@ def _check(walk_type: WalkType, n: int, bits: int, tables=0, full=0, at_n=0, rol
         )
 
 
-def _factors(units: tuple, r: int, n: int) -> tuple:
+def _factors(units: tuple, n: int) -> tuple:
     """(plan, product): convolutions (out, a, a_even, b, b_even) and the table they fill.
 
     Each distinct unit rolls one term table (_kind_terms), so two equal
@@ -475,7 +483,7 @@ def _factors(units: tuple, r: int, n: int) -> tuple:
     right, even-only ones first as _dot requires, and its last out is the
     product.  A single unit is its own product, with an empty plan.
     """
-    tables = {unit: _kind_terms(unit, r, n) for unit in dict.fromkeys(units)}
+    tables = {unit: _kind_terms(unit, n) for unit in dict.fromkeys(units)}
     first, *rest = sorted(units, key=lambda unit: not unit.returns_to_zero)
     product, product_even, plan = tables[first], first.returns_to_zero, []
     for unit in rest:
@@ -519,42 +527,32 @@ def _convolve(convolutions: list, n: int) -> list:
     return row
 
 
-def _units(factors: tuple, r: int) -> tuple:
-    """The units that both entry points compute with: factors, groups (_GROUPS) or both.
+@cache
+def _plan(walk_type: WalkType) -> tuple:
+    """(bits, units, pair): what general_count and general_sequence need of a type.
 
-    factors are sorted with DimKind.FREE (letter e, whatever r is) last.
-    One or two are their own units.  Of three or four, the first two make
-    a group, and the rest is one kind, e^{r x} or a second group: (pair)
+    units are what both entry points compute with.  One or two factors,
+    the constrained kinds (_KINDS) and e^{r x} (_free) when r > 0, are
+    their own units.  Of three or four, the first two make a group
+    (_GROUPS), and the rest is one kind, e^{r x} or a second group: (pair)
     single, (pair) e^{r x} or (pair) (pair).  Three constrained kinds and
     e^{2x} make (x e^{2x}) (pair).  e^{x} with one kind is not
     hypergeometric, so three constrained kinds and e^{x} make three units,
-    (pair) single e^{x}.
-    """
-    letters = "".join(kind.value for kind in factors)
-    if len(letters) < 3:
-        return factors
-    if len(letters) == 4 and letters[3] != "e":
-        return _GROUPS[letters[:2]], _GROUPS[letters[2:]]
-    if len(letters) == 4 and r == 2:
-        return _GROUPS[letters[0] + "e"], _GROUPS[letters[1:3]]
-    return _GROUPS[letters[:2]], *factors[2:]
-
-
-@cache
-def _plan(walk_type: WalkType) -> tuple:
-    """(r, bits, units, pair): what general_count and general_sequence need of a type.
-
-    units are what both entry points compute with (_units), from the
-    constrained kinds and DimKind.FREE for e^{r x} when r > 0; bits, of
-    one step's choice among the type's directions, sizes terms for _check;
-    pair is the rolled sum of two units (_pair), or None.  Each of the 125
-    types is planned on first use.
+    (pair) single e^{x}.  bits, of one step's choice among the type's
+    directions, sizes terms for _check; pair is the rolled sum of two
+    units (_pair), or None.  Each of the 125 types is planned on first use.
     """
     r = walk_type.free_direction_count
-    factors = walk_type.constrained_kinds + (DimKind.FREE,) * (r > 0)
-    units = _units(factors, r)
-    pair = _pair(*units, r) if len(units) == 2 else None
-    return r, max(1, (walk_type.step_count - 1).bit_length()), units, pair
+    kinds = "".join(kind.value for kind in walk_type.constrained_kinds)
+    units = [_KINDS[kind] for kind in kinds] + [_free(r)] * (r > 0)
+    if len(units) == 4 and not r:
+        units = [_GROUPS[kinds[:2]], _GROUPS[kinds[2:]]]
+    elif len(units) == 4 and r == 2:
+        units = [_GROUPS[kinds[0] + "e"], _GROUPS[kinds[1:]]]
+    elif len(units) > 2:
+        units[:2] = [_GROUPS[kinds[:2]]]
+    pair = _pair(*units) if len(units) == 2 else None
+    return max(1, (walk_type.step_count - 1).bit_length()), tuple(units), pair
 
 
 def general_count(walk_type: WalkType, n: int) -> int:
@@ -567,7 +565,7 @@ def general_count(walk_type: WalkType, n: int) -> int:
     n.  Raises GuardExceeded, before any work, when the estimated work of
     that plan exceeds MAX_FORMULA_WORK (_check).
     """
-    r, bits, units, pair = _plan(walk_type)
+    bits, units, pair = _plan(walk_type)
     if pair:
         # n // 2 + 1 rolled terms when a unit's odd terms are 0, n + 1 otherwise.
         a, b = units
@@ -576,11 +574,23 @@ def general_count(walk_type: WalkType, n: int) -> int:
         return _rolled_sum(pair, n)
     if len(units) == 1:
         _check(walk_type, n, bits, tables=1)
-        return _term(*units, n, r)
+        return _term(*units, n)
     # Three tables and Pascal row n.
     _check(walk_type, n, bits, tables=4, full=1, at_n=1)
-    *plan, (_, a, a_even, b, b_even) = _factors(units, r, n)[0]
+    *plan, (_, a, a_even, b, b_even) = _factors(units, n)[0]
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
+
+
+def _sequence_units(walk_type: WalkType, n_max: int) -> tuple:
+    """The type's units, once the guard admits its sequence to n_max; GuardExceeded if not.
+
+    The charge is a table per distinct unit and a convolution in full per
+    unit after the first, and nothing is computed, so catalog bisects on
+    this call for the longest admitted prefix.
+    """
+    bits, units, _ = _plan(walk_type)
+    _check(walk_type, n_max, bits, len(set(units)), full=len(units) - 1)
+    return units
 
 
 def general_sequence(walk_type: WalkType, n_max: int) -> list:
@@ -591,9 +601,7 @@ def general_sequence(walk_type: WalkType, n_max: int) -> list:
     single unit is its own table, with nothing to convolve.  Raises
     GuardExceeded like general_count.
     """
-    r, bits, units, _ = _plan(walk_type)
-    _check(walk_type, n_max, bits, len(set(units)), full=len(units) - 1)
-    plan, product = _factors(units, r, n_max)
+    plan, product = _factors(_sequence_units(walk_type, n_max), n_max)
     if plan:
         _convolve(plan, n_max)
     return product

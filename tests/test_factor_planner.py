@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 from conftest import all_type_strings
-from touchard import DimKind, canonicalize_type, general_count, general_sequence
+from touchard import canonicalize_type, general_count, general_sequence
 from touchard import closedforms
 
 
@@ -26,12 +26,10 @@ def counted(monkeypatch):
     tables, plans = [], []
     kind_terms, convolve = closedforms._kind_terms, closedforms._convolve
 
-    def counted_kind_terms(unit, r, n):
-        if isinstance(unit, DimKind):
-            tables.append(unit.value)
-        else:
-            tables.append(next(name for name, group in closedforms._GROUPS.items() if group is unit))
-        return kind_terms(unit, r, n)
+    def counted_kind_terms(unit, n):
+        named = {**closedforms._KINDS, **closedforms._GROUPS}.items()
+        tables.append(next((name for name, known in named if known is unit), "e"))
+        return kind_terms(unit, n)
 
     def counted_convolve(plan, n):
         plans.append(len(plan))

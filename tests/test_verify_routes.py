@@ -54,7 +54,7 @@ def test_one_formula_call_per_row(monkeypatch):
 
 @pytest.mark.parametrize(
     "letters, n_max, prefix",
-    [("cccc", 2000, 1000), ("ace", 1500, 750)],
+    [("cccc", 2000, 1364), ("ace", 1500, 1364)],
 )
 def test_deep_rows_with_both_guards_tripped(letters, n_max, prefix):
     env = dict(os.environ, PYTHONPATH=SRC, WALKS_MAX_STATES="1000")

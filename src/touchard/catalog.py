@@ -261,26 +261,19 @@ def _formula_prefix(walk_type: WalkType, n_max: int) -> tuple:
     """Master-summation counts for the longest admitted prefix of 0..n_max.
 
     Returns (counts, refusal), where refusal is the guard's refusal of the
-    whole row, or None.  The guard trips before any table is built, so
-    after a refusal the largest admitted n is found by bisection on the
-    guard alone (closedforms._sequence_units), and only that prefix is
-    computed.
+    whole row, or None.  The guard trips before any table is built, and
+    after a refusal the largest n general_sequence admits is read from
+    the type's plan (closedforms._plan), worked out once per budget, so
+    only that prefix is computed.
     """
     try:
         return general_sequence(walk_type, n_max), None
     except GuardExceeded as exc:
         refusal = exc
-    from .closedforms import _sequence_units  # loaded by the refused call
+    from .closedforms import MAX_FORMULA_WORK, _plan  # loaded by the refused call
 
-    admitted, refused = -1, n_max
-    while refused - admitted > 1:
-        n = (admitted + refused) // 2
-        try:
-            _sequence_units(walk_type, n)
-            admitted = n
-        except GuardExceeded:
-            refused = n
-    return general_sequence(walk_type, admitted) if admitted >= 0 else [], refusal
+    _, _, _, (largest, _) = _plan(walk_type, MAX_FORMULA_WORK)
+    return general_sequence(walk_type, largest) if largest >= 0 else [], refusal
 
 
 def verify(

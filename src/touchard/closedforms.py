@@ -87,18 +87,24 @@ dimensions.
 
 Every term of length k has O(k) bits, so a rolled sum takes O(n^2) bit
 operations, the tables O(h n^2) bits, and an index pair multiplies
-O(n)-bit numbers.  Both functions estimate the work of the unit plan
-they run before starting and raise GuardExceeded when it exceeds
-MAX_FORMULA_WORK (_check).  A one-unit count is one table, like its
-sequence, so both admit c up to n = 92 680.  A two-unit count is its
-n // 2 + 1 rolled terms when a unit's odd terms are 0 and n + 1
-otherwise: ae and aa up to 46 339, ce and cc up to 32 767, and the
-grouped types of three or four factors, whose terms have more bits, up
-to 37 835 (aaaa) or 26 753 (cccc).  A three-unit count is three tables
-plus Pascal row n, one convolution in full and one at n alone, so aaad
-to cccd are admitted up to 1 364.  A sequence is a table per distinct
-unit and a convolution in full per unit after the first, a square
-charged as a full product: cccc up to 1 364, aaad up to 1 125.
+O(n)-bit numbers.  _work estimates the work of the unit plan each
+function runs, and it rises with n, so whether n is admitted depends
+only on the type, MAX_FORMULA_WORK and one threshold: the largest n
+whose work fits.  _plan finds both thresholds of a type once per
+budget, by bisection (_largest), and keeps them beside its units.  Each
+call compares n with its threshold, and past it raises GuardExceeded
+before any work, with the estimate in the message (_check).
+
+A one-unit count is one table, like its sequence, so both admit c up to
+n = 92 680.  A two-unit count is its n // 2 + 1 rolled terms when a
+unit's odd terms are 0 and n + 1 otherwise: ae and aa up to 46 339, ce
+and cc up to 32 767, and the grouped types of three or four factors,
+whose terms have more bits, up to 37 835 (aaaa) or 26 753 (cccc).  A
+three-unit count is three tables plus Pascal row n, one convolution in
+full and one at n alone, so aaad to cccd are admitted up to 1 364.  A
+sequence is a table per distinct unit and a convolution in full per
+unit after the first, a square charged as a full product: cccc up to
+1 364, aaad up to 1 125.
 """
 
 from functools import cache
@@ -119,7 +125,7 @@ from .exactmath import (
 from .oracle import GuardExceeded
 from .walks import WalkType
 
-# Budget of the master summation, in bit operations (see _check).  Stored
+# Budget of the master summation, in bit operations (see _work).  Stored
 # term tables stay within this many bits (512 MiB).  At the largest n
 # admitted, the slowest count (accd at n = 1 364) took 1.6 to 2.4 s and the
 # slowest sequences (ccce and bcee at 1 364, cdd at 1 623) 2.0 to 3.1 s, at
@@ -443,8 +449,8 @@ def _rolled_sum(pair: tuple, n: int) -> int:
     return total
 
 
-def _check(walk_type: WalkType, n: int, bits: int, tables=0, full=0, at_n=0, rolled=0) -> None:
-    """Raise unless n >= 0 and the estimated work fits MAX_FORMULA_WORK.
+def _work(n: int, bits: int, tables: int, full: int, at_n: int, step: int) -> int:
+    """Estimated bit operations of a charge (bits, tables, full, at_n, step) at n.
 
     With s step directions a term of length n has at most
     size = n * log2(s) bits, bits = log2(s) rounded up (_plan).  Each
@@ -454,19 +460,39 @@ def _check(walk_type: WalkType, n: int, bits: int, tables=0, full=0, at_n=0, rol
     index pair multiplies numbers of about size bits: size bit operations
     while interpreter overhead dominates, and size / 2048 times as many
     above 2048 bits, where the multiplications themselves take over.  A
-    rolled term takes one multiplication and one exact division by a
-    small integer: 2 * size.
+    rolled sum of step s has n // s + 1 terms, each one multiplication
+    and one exact division by a small integer: 2 * size; step 0 rolls
+    none.  Every part rises with n, so the work does too.
+    """
+    size = (n + 1) * bits
+    pairs = full * (n + 1) * (n + 2) // 2 + at_n * (n + 1)
+    rolled = n // step + 1 if step else 0
+    return tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048) + 2 * rolled * size
 
-    Callers charge the unit plan they run (_plan): a table per distinct
-    unit, Pascal row n when a count convolves, a convolution per unit
-    after the first, and a pair's rolled terms.  A square is charged as a
-    full product.
+
+def _largest(charge: tuple, budget: int) -> int:
+    """The largest n whose work (_work) fits budget, or -1, by bisection: work rises with n."""
+    admitted, refused = -1, 1
+    while _work(refused, *charge) <= budget:
+        admitted, refused = refused, 2 * refused
+    while refused - admitted > 1:
+        n = (admitted + refused) // 2
+        if _work(n, *charge) <= budget:
+            admitted = n
+        else:
+            refused = n
+    return admitted
+
+
+def _check(walk_type: WalkType, n: int, *charge) -> None:
+    """Raise unless n >= 0 and the work of charge at n (_work) fits MAX_FORMULA_WORK.
+
+    The entry points admit n by comparing it with the largest n their
+    plan admits (_plan), and call this only to raise the refusal.
     """
     if n < 0:
         raise ValueError(f"the master summation requires n >= 0, got {n}")
-    size = (n + 1) * bits
-    pairs = full * (n + 1) * (n + 2) // 2 + at_n * (n + 1)
-    work = tables * (n + 1) * size // 2 + pairs * size * max(1, size // 2048) + 2 * rolled * size
+    work = _work(n, *charge)
     if work > MAX_FORMULA_WORK:
         raise GuardExceeded(
             f"the master summation for type {walk_type} up to n = {n} needs about "
@@ -528,8 +554,8 @@ def _convolve(convolutions: list, n: int) -> list:
 
 
 @cache
-def _plan(walk_type: WalkType) -> tuple:
-    """(bits, units, pair): what general_count and general_sequence need of a type.
+def _plan(walk_type: WalkType, budget: int) -> tuple:
+    """(units, pair, count, sequence): what the entry points need of a type under budget.
 
     units are what both entry points compute with.  One or two factors,
     the constrained kinds (_KINDS) and e^{r x} (_free) when r > 0, are
@@ -538,9 +564,16 @@ def _plan(walk_type: WalkType) -> tuple:
     single, (pair) e^{r x} or (pair) (pair).  Three constrained kinds and
     e^{2x} make (x e^{2x}) (pair).  e^{x} with one kind is not
     hypergeometric, so three constrained kinds and e^{x} make three units,
-    (pair) single e^{x}.  bits, of one step's choice among the type's
-    directions, sizes terms for _check; pair is the rolled sum of two
-    units (_pair), or None.  Each of the 125 types is planned on first use.
+    (pair) single e^{x}.  pair is the rolled sum of two units (_pair), or
+    None.
+
+    count and sequence are (largest, charge) for general_count and
+    general_sequence: the charge (_work) of the unit plan each runs, and
+    the largest n whose work fits budget (_largest), or -1.  The charge
+    starts with bits, of one step's choice among the type's directions.
+    So an entry point admits n by one comparison, and catalog reads the
+    longest admitted sequence here.  Each of the 125 types is planned on
+    first use under each budget, which tests lower at run time.
     """
     r = walk_type.free_direction_count
     kinds = "".join(kind.value for kind in walk_type.constrained_kinds)
@@ -551,8 +584,25 @@ def _plan(walk_type: WalkType) -> tuple:
         units = [_GROUPS[kinds[0] + "e"], _GROUPS[kinds[1:]]]
     elif len(units) > 2:
         units[:2] = [_GROUPS[kinds[:2]]]
+    bits = max(1, (walk_type.step_count - 1).bit_length())
     pair = _pair(*units) if len(units) == 2 else None
-    return max(1, (walk_type.step_count - 1).bit_length()), tuple(units), pair
+    if pair:
+        # n // 2 + 1 rolled terms when a unit's odd terms are 0, n + 1 otherwise.
+        a, b = units
+        count = (bits, 0, 0, 0, 2 if a.returns_to_zero or b.returns_to_zero else 1)
+    elif len(units) == 1:
+        count = (bits, 1, 0, 0, 0)
+    else:
+        # Three tables and Pascal row n.
+        count = (bits, 4, 1, 1, 0)
+    # A table per distinct unit and a convolution in full per unit after the first.
+    sequence = (bits, len(set(units)), len(units) - 1, 0, 0)
+    return (
+        tuple(units),
+        pair,
+        (_largest(count, budget), count),
+        (_largest(sequence, budget), sequence),
+    )
 
 
 def general_count(walk_type: WalkType, n: int) -> int:
@@ -562,35 +612,18 @@ def general_count(walk_type: WalkType, n: int) -> int:
     two a rolled sum (_rolled_sum), without a term table.  Three units, a
     group, a kind and e^{x}, convolve the first two tables in full and
     evaluate the product with e^{x} at index n alone, against Pascal row
-    n.  Raises GuardExceeded, before any work, when the estimated work of
-    that plan exceeds MAX_FORMULA_WORK (_check).
+    n.  Raises GuardExceeded, before any work, when n is past the largest
+    n the plan admits under MAX_FORMULA_WORK (_check).
     """
-    bits, units, pair = _plan(walk_type)
+    units, pair, (largest, charge), _ = _plan(walk_type, MAX_FORMULA_WORK)
+    if not 0 <= n <= largest:
+        _check(walk_type, n, *charge)
     if pair:
-        # n // 2 + 1 rolled terms when a unit's odd terms are 0, n + 1 otherwise.
-        a, b = units
-        step = 2 if a.returns_to_zero or b.returns_to_zero else 1
-        _check(walk_type, n, bits, rolled=n // step + 1)
         return _rolled_sum(pair, n)
     if len(units) == 1:
-        _check(walk_type, n, bits, tables=1)
         return _term(*units, n)
-    # Three tables and Pascal row n.
-    _check(walk_type, n, bits, tables=4, full=1, at_n=1)
     *plan, (_, a, a_even, b, b_even) = _factors(units, n)[0]
     return _dot(_convolve(plan, n), a, a_even, b, b_even, n)
-
-
-def _sequence_units(walk_type: WalkType, n_max: int) -> tuple:
-    """The type's units, once the guard admits its sequence to n_max; GuardExceeded if not.
-
-    The charge is a table per distinct unit and a convolution in full per
-    unit after the first, and nothing is computed, so catalog bisects on
-    this call for the longest admitted prefix.
-    """
-    bits, units, _ = _plan(walk_type)
-    _check(walk_type, n_max, bits, len(set(units)), full=len(units) - 1)
-    return units
 
 
 def general_sequence(walk_type: WalkType, n_max: int) -> list:
@@ -601,7 +634,10 @@ def general_sequence(walk_type: WalkType, n_max: int) -> list:
     single unit is its own table, with nothing to convolve.  Raises
     GuardExceeded like general_count.
     """
-    plan, product = _factors(_sequence_units(walk_type, n_max), n_max)
+    units, _, _, (largest, charge) = _plan(walk_type, MAX_FORMULA_WORK)
+    if not 0 <= n_max <= largest:
+        _check(walk_type, n_max, *charge)
+    plan, product = _factors(units, n_max)
     if plan:
         _convolve(plan, n_max)
     return product

@@ -113,3 +113,30 @@ def test_verify_reports_formula_refusal(monkeypatch):
     assert 0 < len(refused) < 21 and refused == list(range(refused[0], 21))
     assert all(row.status == "agree" for row in report.rows)
     assert [w for w in report.warnings if w.startswith(f"cc: formula skipped from n={refused[0]}:")]
+
+
+def _first_refused_sequence(walk_type, n_max):
+    for n in range(n_max + 1):
+        try:
+            general_sequence(walk_type, n)
+        except GuardExceeded:
+            return n
+    raise AssertionError(f"no n <= {n_max} is refused")
+
+
+# One type of each plan shape: one unit, a pair of units, a square of
+# groups and three units, each with n_max past its threshold under the
+# lowered budget.
+@pytest.mark.parametrize("letters, n_max", [("c", 60), ("ae", 20), ("cccc", 15), ("aaad", 12)])
+def test_verify_formula_prefix_ends_at_the_first_refused_n(monkeypatch, letters, n_max):
+    wt = canonicalize_type(letters)
+    # The full budget admits the whole row, so a threshold kept from it
+    # would hide the refusal below.
+    assert not [w for w in verify(wt, n_max).warnings if "formula skipped" in w]
+    monkeypatch.setattr(closedforms, "MAX_FORMULA_WORK", 1000)
+    first = _first_refused_sequence(wt, n_max)
+    report = verify(wt, n_max)
+    refused = [row.n for row in report.rows if row.formula is None]
+    assert 0 < first and refused == list(range(first, n_max + 1))
+    assert all(row.status == "agree" for row in report.rows)
+    assert [w for w in report.warnings if w.startswith(f"{letters}: formula skipped from n={first}:")]

@@ -20,18 +20,19 @@ of one _completions call, made by one count_dp or sequence_dp call: each
 canonical heights vector is keyed by an integer, one digit per
 constrained dimension, and interned once to an integer id, so a child's
 key is its parent's plus or minus one power of the radix and its
-heights tuple is built only when the key is new.  Each id keeps its
-need, the sum of its returning heights (excursions and bridges), from
-the moment it is interned; its moves are built once and reused for
-every steps remaining, after which its heights and key are released;
-its counts are kept in one dict per id, and a running total of stored
-counts feeds the guard.  Each move carries its child's need, and a
-stored child count is looked up before the recursion calls itself.  A
-state is dead when its need exceeds the steps left, or, for a type with
-no free direction and no meander, differs from them in parity; dead
-states count 0 and are never memoized.  Every id of need 0 starts its
-counts at {0: 1}, the one completion with no step left, outside the
-guard's count.
+heights tuple is built only when the key is new.  The origin is
+interned like every other state.  Each id keeps one pending record,
+its heights, key and need (the sum of its returning heights, excursions
+and bridges), from the moment it is interned until its moves are built,
+once, to be reused for every steps remaining; the record is then
+released.  Its counts are kept in one dict per id, and a running total
+of stored counts feeds the guard.  Each move carries its child's need,
+and a stored child count is looked up before the recursion calls
+itself.  A state is dead when its need exceeds the steps left, or, for
+a type with no free direction and no meander, differs from them in
+parity; dead states count 0 and are never memoized.  Every id of need 0
+starts its counts at {0: 1}, the one completion with no step left,
+outside the guard's count; length 0 reads the origin's.
 """
 
 import functools
@@ -208,35 +209,38 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
 
     The memo is local to this call and shared by every length of it.
     ids interns each canonical heights vector to an integer id; id 0 is
-    the origin.  Its key is an integer with one digit per constrained
-    dimension in radix R = (the largest of lengths) + 2, which no height
-    reaches: a state expanded with k >= 1 steps left was reached in at
-    most n - 1 steps, so its children's heights are at most n.  The up
-    move of a block raises position p by one, so the child's key is the
-    parent's plus R**p; the down move lowers position c, so it is the
-    parent's minus R**c.  One addition and one probe of ids find a
-    child, and its heights tuple is built only when its key is new.
-    need_of[i] is id i's need, set when it is interned from its parent's
-    need.  heights_of[i] and key_of[i] are read only by expand, which
-    builds moves[i] once, as a tuple of (weight, child id, the child's
-    need, the child's counts) reused for every k and every length, and
-    then sets both to None.  counts[i] maps the steps remaining k to the
-    completion count of (k, id i); stored is the number of counts rec
-    stores, which the DP guard bounds.  No count stored before length n
-    has more than n * bits bits, bits being the most one step adds, so
-    stored * n * bits must stay within MAX_DP_BITS before each length.
-    rec looks each child's count up in the child's dict before it calls
-    itself, so a stored child costs no call.
+    the origin, interned by the same intern call as every other state.
+    Its key is an integer with one digit per constrained dimension in
+    radix R = (the largest of lengths) + 2, which no height reaches: a
+    state expanded with k >= 1 steps left was reached in at most n - 1
+    steps, so its children's heights are at most n.  The up move of a
+    block raises position p by one, so the child's key is the parent's
+    plus R**p; the down move lowers position c, so it is the parent's
+    minus R**c.  One addition and one probe of ids find a child, and its
+    heights tuple is built only when its key is new.  pending[i] is id
+    i's record (heights, key, need), its need set when it is interned
+    from its parent's need.  Only expand reads it: expand builds
+    moves[i] once, as a tuple of (weight, child id, the child's need,
+    the child's counts) reused for every k and every length, and then
+    sets pending[i] to None.  counts[i] maps the steps remaining k to
+    the completion count of (k, id i); stored is the number of counts
+    rec stores, which the DP guard bounds.  No count stored before
+    length n has more than n * bits bits, bits being the most one step
+    adds, so stored * n * bits must stay within MAX_DP_BITS before each
+    length.  rec looks each child's count up in the child's dict before
+    it calls itself, so a stored child costs no call.
 
     An id's need is the sum of its returning heights (excursions and
     bridges, bridges as |h|).  A returning height h needs at least h
     steps to reach 0 and one step moves one dimension, so rec skips a
     child whose need exceeds the steps left: it is dead, counts 0 and is
     never memoized.  An id of need 0 is live with no step left, so its
-    counts start as {0: 1}, outside stored.  With no free direction and
-    no meander every step moves need by one, so k - need keeps its
-    parity from the root on (the parity lock), and an odd length counts
-    0 without visiting any state.
+    counts start as {0: 1}, outside stored.  The origin is such an id:
+    each length reads the origin's dict before it calls rec, so length 0
+    reads that seed and stores nothing.  With no free direction and no
+    meander every step moves need by one, so k - need keeps its parity
+    from the root on (the parity lock), and an odd length counts 0
+    without visiting any state.
 
     rec calls itself once per step, so a length near the interpreter's
     recursion limit raises RecursionError, which is refused as
@@ -256,28 +260,22 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
     radix = max(lengths) + 2
     place = tuple(radix**p for p in range(span))
     parity_locked = not r and all(returns)
-    ids = {0: 0}
-    heights_of = [(0,) * span]
-    key_of = [0]
-    need_of = [0]
-    moves = [None]
-    counts = [{0: 1}]
+    ids = {}
+    pending = []
+    moves = []
+    counts = []
     limit = limits.max_dp_states
     stored = 0
 
     def intern(key: int, heights: tuple, need: int) -> int:
         cid = ids[key] = len(moves)
-        heights_of.append(heights)
-        key_of.append(key)
-        need_of.append(need)
+        pending.append((heights, key, need))
         moves.append(None)
         counts.append({} if need else {0: 1})
         return cid
 
     def expand(hid: int) -> tuple:
-        heights = heights_of[hid]
-        key = key_of[hid]
-        need = need_of[hid]
+        heights, key, need = pending[hid]
         built = [(r, hid, need, counts[hid])] if r else []
         ci = 0
         while ci < span:
@@ -300,7 +298,7 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
                     cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
                 built.append((m, cid, child_need, counts[cid]))
             ci = end
-        heights_of[hid] = key_of[hid] = None
+        pending[hid] = None
         built = moves[hid] = tuple(built)
         return built
 
@@ -323,6 +321,7 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
         counts[hid][k] = total
         return total
 
+    origin = counts[intern(0, (0,) * span, 0)]
     totals = []
     try:
         for n in lengths:
@@ -333,10 +332,8 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
                 )
             if n % 2 and parity_locked:
                 totals.append(0)
-            elif n == 0:
-                totals.append(1)
             else:
-                totals.append(rec(n, 0))
+                totals.append(origin[n] if n in origin else rec(n, 0))
         return totals
     except RecursionError as exc:
         raise GuardExceeded(str(exc)) from None

@@ -29,7 +29,14 @@ class DimKind(enum.Enum):
     enum is built: stays_nonnegative (a, c), returns_to_zero (a, b),
     unrestricted (d, e) and direction_count, the number of step
     directions (1 for d, 2 otherwise).
+
+    Members hash by identity: each is a singleton, also after pickling,
+    so object.__hash__ agrees with equality, and a WalkType's hash (the
+    key of every per-type cache) makes no Python-level call, where
+    Enum.__hash__ makes one per dimension.
     """
+
+    __hash__ = object.__hash__
 
     EXCURSION = "a"
     BRIDGE = "b"

@@ -1,9 +1,9 @@
-"""Independent counting oracles: brute-force enumeration and memoized DP.
+"""Independent counting oracles: brute-force enumeration and a DP over heights.
 
 These are the ground truth the closed forms are checked against, so the
 two routes share no counting logic: enumeration builds every valid step
-string, while the DP recurses over (steps remaining, heights of the
-constrained dimensions).  One generator, _brute_joins, is the whole
+string, while the DP counts walks by the heights of the constrained
+dimensions.  One generator, _brute_joins, is the whole
 brute-force route, guard and scan.  It scans the first and the second
 half of a walk separately, each with one itertools.product pass, and
 yields each valid prefix with the list of suffixes that complete it, so
@@ -13,26 +13,25 @@ fail.  What it keeps is lists of suffix step tuples, never counts.
 _valid_walks joins them into walks, which enumerate_walks lists and
 enumerate_dyck reads one at a time; count --method brute sums the
 lengths of the suffix lists and builds no walk.
-The DP memo keys on canonical heights: bridge heights reflected to |h|
+The DP's states are canonical heights: bridge heights reflected to |h|
 and the heights of same-kind dimensions sorted, so each orbit of
-interchangeable heights is one memo state.  The memo lives in the locals
-of one _completions call, made by one count_dp or sequence_dp call: each
-canonical heights vector is keyed by an integer, one digit per
-constrained dimension, and interned once to an integer id, so a child's
-key is its parent's plus or minus one power of the radix and its
-heights tuple is built only when the key is new.  The origin is
-interned like every other state.  Each id keeps one pending record,
-its heights, key and need (the sum of its returning heights, excursions
-and bridges), from the moment it is interned until its moves are built,
-once, to be reused for every steps remaining; the record is then
-released.  Its counts are kept in one dict per id, and a running total
-of stored counts feeds the guard.  Each move carries its child's need,
-and a stored child count is looked up before the recursion calls
-itself.  A state is dead when its need exceeds the steps left, or, for
-a type with no free direction and no meander, differs from them in
-parity; dead states count 0 and are never memoized.  Every id of need 0
-starts its counts at {0: 1}, the one completion with no step left,
-outside the guard's count; length 0 reads the origin's.
+interchangeable heights is one state.  _state_table interns each
+canonical heights vector, keyed by an integer with one digit per
+constrained dimension, to an integer id once, so a child's key is its
+parent's plus or minus one power of the radix and its heights tuple is
+built only when the key is new.  The origin is interned like every
+other state.  Each id keeps one pending record, its heights, key and
+need (the sum of its returning heights, excursions and bridges), from
+the moment it is interned until its moves are built, once; each move
+carries its child's need.  A state is dead when its need exceeds the
+steps left, or, for a type with no free direction and no meander,
+differs from them in parity; dead states count 0 and are never stored.
+Both DP routes read one such table, local to one call.  count_dp
+recurses over (steps remaining, id) through a memo of completion counts,
+so it stops at the interpreter's recursion limit.  sequence_dp sweeps
+forward over layers of walks counted by the id they end at, keeping two
+layers live, and makes no recursive call; its layers hold exactly the
+states count_dp stores at the last length.
 """
 
 import functools
@@ -46,12 +45,13 @@ from .walks import DimKind, Walk, WalkType, step_alphabet
 class ResourceLimits(NamedTuple):
     """Guards against accidentally oversized searches.
 
-    max_dp_states bounds the DP's memo states, not the counts they hold.
-    A type with free directions keeps a state per length, and with s step
-    directions a count gains up to b = bit_length(s - 1) bits a step, so
-    those counts grow as n^2 in bits while the states grow as n.  The DP
-    therefore also refuses a length n once its stored counts times n * b
-    exceed MAX_DP_BITS, a fixed budget of 2^33 bits (1 GiB) of counts.
+    max_dp_states bounds the DP's stored states, not the counts they
+    hold.  A type with free directions keeps a state per length, and with
+    s step directions a count gains up to b = bit_length(s - 1) bits a
+    step, so those counts grow as n^2 in bits while the states grow as n.
+    sequence_dp therefore also refuses a length n once the states it has
+    charged times n * b exceed MAX_DP_BITS, a fixed budget of 2^33 bits
+    (1 GiB) of counts.
     """
 
     max_brute_candidates: int = 10_000_000
@@ -167,140 +167,30 @@ def _brute_joins(walk_type: WalkType, n: int, limits: ResourceLimits | None):
 def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:
     """Exact count of valid length-n walks via memoized recursion.
 
-    The memo is local to this call (see _completions) and freed on return.
-    Raises GuardExceeded past limits.max_dp_states, MAX_DP_BITS or the
-    interpreter's recursion limit (the DP recurses once per step).
-    """
-    if n < 0:
-        raise ValueError(f"walk length must be >= 0, got {n}")
-    return _completions(walk_type, (n,), limits or DEFAULT_LIMITS)[0]
-
-
-def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None = None) -> list:
-    """Counts for every length 0..n_max, sharing one memo.
-
-    A memo count is keyed on (steps remaining, heights id), which is
-    independent of the total length, so longer prefixes reuse shorter
-    ones' completion counts, and every length reuses the moves each
-    interned heights id built once.  Dead states are pruned as in
-    _completions; for a parity-locked type (only excursions and bridges)
-    every odd length counts 0 and adds no memo state.  Raises
-    GuardExceeded as count_dp does, also at the recursion limit.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return _completions(walk_type, range(n_max + 1), limits or DEFAULT_LIMITS)
-
-
-def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLimits) -> list:
-    """Walk completions from the origin for each of lengths, in order.
-
-    The memo keys on canonical heights, one state per orbit of the
-    symmetries that preserve the count.  A bridge is symmetric under
-    h -> -h, so its height is stored as |h|; then every constrained
-    height is >= 0 and may step down iff it is > 0, and a bridge at 0
-    steps up in two ways.  Dimensions of the same kind are
-    interchangeable, so the heights within each run of equal kinds
-    (contiguous, as WalkType sorts its dims) are kept in ascending
-    order.  A block of m equal heights in a run expands one move each
-    way, weighted by m: the up move raises the block's last height and
-    the down move lowers its first, which keeps the run sorted.  The r
-    free directions are one move of weight r to the same heights.
-
-    The memo is local to this call and shared by every length of it.
-    ids interns each canonical heights vector to an integer id; id 0 is
-    the origin, interned by the same intern call as every other state.
-    Its key is an integer with one digit per constrained dimension in
-    radix R = (the largest of lengths) + 2, which no height reaches: a
-    state expanded with k >= 1 steps left was reached in at most n - 1
-    steps, so its children's heights are at most n.  The up move of a
-    block raises position p by one, so the child's key is the parent's
-    plus R**p; the down move lowers position c, so it is the parent's
-    minus R**c.  One addition and one probe of ids find a child, and its
-    heights tuple is built only when its key is new.  pending[i] is id
-    i's record (heights, key, need), its need set when it is interned
-    from its parent's need.  Only expand reads it: expand builds
-    moves[i] once, as a tuple of (weight, child id, the child's need,
-    the child's counts) reused for every k and every length, and then
-    sets pending[i] to None.  counts[i] maps the steps remaining k to
-    the completion count of (k, id i); stored is the number of counts
-    rec stores, which the DP guard bounds.  No count stored before
-    length n has more than n * bits bits, bits being the most one step
-    adds, so stored * n * bits must stay within MAX_DP_BITS before each
-    length.  rec looks each child's count up in the child's dict before
-    it calls itself, so a stored child costs no call.
-
-    An id's need is the sum of its returning heights (excursions and
-    bridges, bridges as |h|).  A returning height h needs at least h
-    steps to reach 0 and one step moves one dimension, so rec skips a
-    child whose need exceeds the steps left: it is dead, counts 0 and is
-    never memoized.  An id of need 0 is live with no step left, so its
-    counts start as {0: 1}, outside stored.  The origin is such an id:
-    each length reads the origin's dict before it calls rec, so length 0
-    reads that seed and stores nothing.  With no free direction and no
-    meander every step moves need by one, so k - need keeps its parity
-    from the root on (the parity lock), and an odd length counts 0
-    without visiting any state.
+    The memo is local to this call and freed on return.  counts[i], the
+    slot _state_table keeps for id i, maps the steps remaining k to the
+    completion count of (k, id i); stored is the number of counts rec
+    stores, which the state guard bounds.  rec looks each child's count
+    up in the child's dict, carried by the move, before it calls itself,
+    so a stored child costs no call.  An id of need 0 counts the one
+    completion with no step left, outside stored.  A parity-locked type
+    counts 0 at odd n without building a state.
 
     rec calls itself once per step, so a length near the interpreter's
     recursion limit raises RecursionError, which is refused as
     GuardExceeded with the interpreter's text.  rec refers to itself
     through its closure cell; the finally clause breaks that cycle, so
-    the memo is freed by reference counting on return, also when a guard
-    or the recursion limit raises.
+    the memo is freed by reference counting on return, also when the
+    state guard (limits.max_dp_states) or the recursion limit raises.
     """
-    kinds = walk_type.constrained_kinds
-    r = walk_type.free_direction_count
-    bits = (walk_type.step_count - 1).bit_length()
-    span = len(kinds)
-    returns = tuple(int(kind.returns_to_zero) for kind in kinds)
-    doubles = tuple(kind is DimKind.BRIDGE for kind in kinds)
-    # continues[p]: position p + 1 is in the same run of equal kinds as p.
-    continues = tuple(p + 1 < span and kinds[p + 1] is kinds[p] for p in range(span))
-    radix = max(lengths) + 2
-    place = tuple(radix**p for p in range(span))
-    parity_locked = not r and all(returns)
-    ids = {}
-    pending = []
-    moves = []
-    counts = []
-    limit = limits.max_dp_states
+    if n < 0:
+        raise ValueError(f"walk length must be >= 0, got {n}")
+    if n % 2 and _parity_locked(walk_type):
+        return 0
+    limit = (limits or DEFAULT_LIMITS).max_dp_states
+    # An id of need 0 starts with the one completion of no step.
+    moves, counts, expand = _state_table(walk_type, n + 2, lambda need: {} if need else {0: 1})
     stored = 0
-
-    def intern(key: int, heights: tuple, need: int) -> int:
-        cid = ids[key] = len(moves)
-        pending.append((heights, key, need))
-        moves.append(None)
-        counts.append({} if need else {0: 1})
-        return cid
-
-    def expand(hid: int) -> tuple:
-        heights, key, need = pending[hid]
-        built = [(r, hid, need, counts[hid])] if r else []
-        ci = 0
-        while ci < span:
-            h = heights[ci]
-            end = ci + 1
-            while continues[end - 1] and heights[end] == h:
-                end += 1
-            m = end - ci
-            child_need = need + returns[ci]
-            child = key + place[end - 1]
-            cid = ids.get(child)
-            if cid is None:
-                cid = intern(child, heights[: end - 1] + (h + 1,) + heights[end:], child_need)
-            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need, counts[cid]))
-            if h:
-                child_need = need - returns[ci]
-                child = key - place[ci]
-                cid = ids.get(child)
-                if cid is None:
-                    cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
-                built.append((m, cid, child_need, counts[cid]))
-            ci = end
-        pending[hid] = None
-        built = moves[hid] = tuple(built)
-        return built
 
     def rec(k: int, hid: int) -> int:
         nonlocal stored
@@ -321,21 +211,173 @@ def _completions(walk_type: WalkType, lengths: tuple | range, limits: ResourceLi
         counts[hid][k] = total
         return total
 
-    origin = counts[intern(0, (0,) * span, 0)]
-    totals = []
     try:
-        for n in lengths:
-            if stored * n * bits > MAX_DP_BITS:
-                raise GuardExceeded(
-                    f"DP for type {walk_type} at n = {n} needs more than "
-                    f"{MAX_DP_BITS} bits of counts"
-                )
-            if n % 2 and parity_locked:
-                totals.append(0)
-            else:
-                totals.append(origin[n] if n in origin else rec(n, 0))
-        return totals
+        return rec(n, 0) if n else 1
     except RecursionError as exc:
         raise GuardExceeded(str(exc)) from None
     finally:
         rec = None
+
+
+def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None = None) -> list:
+    """Counts for every length 0..n_max, from one forward sweep.
+
+    Layer j maps each id reached in j steps to the number of j-step walks
+    from the origin that end in its orbit.  Every state of an orbit has
+    the same moves into each other orbit, so a move of weight w from a
+    state of layer j with c walks adds w * c to its child in layer j + 1.
+    A child is kept only if its need fits the steps left after the move,
+    n_max - j - 1, so no walk that a length <= n_max counts is pruned,
+    and the layers before n_max hold exactly the states count_dp(walk_type,
+    n_max) stores.  Length j counts the walks of layer j that end at need
+    0.  Only two layers are live at a time, and no call recurses, so the
+    recursion limit does not bound n_max.
+
+    Each layer is charged to the state guard as it is expanded, so a
+    completed sweep charges what count_dp(walk_type, n_max) stores.  The
+    bits guard checks charged states * n * bits before each length n,
+    bits being the most one step adds to a count.  A parity-locked type
+    counts 0 at every odd length, so at odd n_max the sweep stops at
+    n_max - 1, charging what count_dp stores there, and appends 0.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    limit = (limits or DEFAULT_LIMITS).max_dp_states
+    bits = (walk_type.step_count - 1).bit_length()
+    last = n_max - 1 if n_max % 2 and _parity_locked(walk_type) else n_max
+    moves, needs, expand = _state_table(walk_type, last + 2, int)
+    layer = {0: 1}
+    totals = []
+    charged = 0
+    for n in range(1, last + 1):
+        if charged * n * bits > MAX_DP_BITS:
+            raise GuardExceeded(
+                f"DP for type {walk_type} at n = {n} needs more than "
+                f"{MAX_DP_BITS} bits of counts"
+            )
+        charged += len(layer)
+        if charged > limit:
+            raise GuardExceeded(
+                f"DP for type {walk_type} needs more than {limit} memo states"
+            )
+        # A child's need may not exceed the steps left after its move.
+        bound = last - n
+        nxt = {}
+        get = nxt.get
+        total = 0
+        for hid, count in layer.items():
+            if not needs[hid]:
+                # count alone is not copied, as 0 + count would be.
+                total = total + count if total else count
+            # A move of weight 1 adds the count itself: no long multiplication.
+            for weight, cid, child_need, _ in moves[hid] or expand(hid):
+                if child_need <= bound:
+                    nxt[cid] = get(cid, 0) + (count if weight == 1 else weight * count)
+        totals.append(total)
+        layer = nxt
+    # The last layer holds only states of need 0.
+    totals.append(sum(layer.values()))
+    if last < n_max:
+        totals.append(0)
+    return totals
+
+
+def _parity_locked(walk_type: WalkType) -> bool:
+    """No free direction and no meander: every step moves need by one."""
+    return not walk_type.free_direction_count and all(
+        kind.returns_to_zero for kind in walk_type.constrained_kinds
+    )
+
+
+def _state_table(walk_type: WalkType, radix: int, slot) -> tuple:
+    """The DP's states and their moves, built on demand: (moves, slots, expand).
+
+    States are canonical heights, one per orbit of the symmetries that
+    preserve the count.  A bridge is symmetric under h -> -h, so its
+    height is stored as |h|; then every constrained height is >= 0 and
+    may step down iff it is > 0, and a bridge at 0 steps up in two ways.
+    Dimensions of the same kind are interchangeable, so the heights
+    within each run of equal kinds (contiguous, as WalkType sorts its
+    dims) are kept in ascending order.  A block of m equal heights in a
+    run expands one move each way, weighted by m: the up move raises the
+    block's last height and the down move lowers its first, which keeps
+    the run sorted.  The r free directions are one move of weight r to
+    the same heights.
+
+    ids interns each canonical heights vector to an integer id; id 0 is
+    the origin, interned by the same intern call as every other state.
+    Its key is an integer with one digit per constrained dimension in
+    radix, which the caller sets to its largest length + 2 so that no
+    height reaches it: a state expanded with k >= 1 steps left was
+    reached in at most n - 1 steps, so its children's heights are at
+    most n.  The up move of a block raises position p by one, so the
+    child's key is the parent's plus radix**p; the down move lowers
+    position c, so it is the parent's minus radix**c.  One addition and
+    one probe of ids find a child, and its heights tuple is built only
+    when its key is new.  pending[i] is id i's record (heights, key,
+    need), its need set when it is interned from its parent's need: the
+    sum of its returning heights (excursions and bridges, bridges as
+    |h|).  expand builds moves[i] from it, once, as a tuple of (weight,
+    child id, the child's need, the child's slot), and then releases it.
+    slots[i] = slot(need) is what the route keeps for id i: count_dp's
+    counts dict, or the sweep's need (slot int).  A move carries its
+    child's slot, so count_dp's recursion finds a child's counts with no
+    lookup by id.
+
+    A returning height h needs at least h steps to reach 0 and one step
+    moves one dimension, so a state whose need exceeds the steps left is
+    dead: it counts 0 and no route stores it.  With no free direction
+    and no meander every step moves need by one (_parity_locked), so the
+    steps left minus need keeps its parity from the origin on, and an
+    odd length counts 0 without visiting any state.
+    """
+    kinds = walk_type.constrained_kinds
+    r = walk_type.free_direction_count
+    span = len(kinds)
+    returns = tuple(int(kind.returns_to_zero) for kind in kinds)
+    doubles = tuple(kind is DimKind.BRIDGE for kind in kinds)
+    # continues[p]: position p + 1 is in the same run of equal kinds as p.
+    continues = tuple(p + 1 < span and kinds[p + 1] is kinds[p] for p in range(span))
+    place = tuple(radix**p for p in range(span))
+    ids = {}
+    pending = []
+    moves = []
+    slots = []
+
+    def intern(key: int, heights: tuple, need: int) -> int:
+        cid = ids[key] = len(moves)
+        pending.append((heights, key, need))
+        moves.append(None)
+        slots.append(slot(need))
+        return cid
+
+    def expand(hid: int) -> tuple:
+        heights, key, need = pending[hid]
+        built = [(r, hid, need, slots[hid])] if r else []
+        ci = 0
+        while ci < span:
+            h = heights[ci]
+            end = ci + 1
+            while continues[end - 1] and heights[end] == h:
+                end += 1
+            m = end - ci
+            child_need = need + returns[ci]
+            child = key + place[end - 1]
+            cid = ids.get(child)
+            if cid is None:
+                cid = intern(child, heights[: end - 1] + (h + 1,) + heights[end:], child_need)
+            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need, slots[cid]))
+            if h:
+                child_need = need - returns[ci]
+                child = key - place[ci]
+                cid = ids.get(child)
+                if cid is None:
+                    cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
+                built.append((m, cid, child_need, slots[cid]))
+            ci = end
+        pending[hid] = None
+        built = moves[hid] = tuple(built)
+        return built
+
+    intern(0, (0,) * span, 0)
+    return moves, slots, expand

@@ -1,6 +1,6 @@
 """The DP's integer state keys at their edges.
 
-_completions keys each canonical heights vector by one digit per
+_state_table keys each canonical heights vector by one digit per
 constrained dimension in radix (largest length) + 2, and finds a child
 by adding or subtracting one power of the radix.  A meander that steps
 north every time reaches the requested length itself, the largest digit
@@ -47,7 +47,7 @@ def test_counts_match_enumeration_and_formula(letters):
 
 
 def stored_states(wt, n_max: int) -> int:
-    """The memo states sequence_dp(wt, n_max) stores: its guard's trip point."""
+    """The states sequence_dp(wt, n_max) charges: its guard's trip point."""
 
     def admitted(limit: int) -> bool:
         try:
@@ -68,9 +68,10 @@ def stored_states(wt, n_max: int) -> int:
     return low
 
 
-# The memo states stored by verify_table3's 25 DP calls, one per golden
-# row over its printed terms, as the tuple-keyed memo stored them.
-TABLE3_STATES = 4_179
+# The states charged by verify_table3's 25 DP calls, one per golden row
+# over its printed terms: those count_dp stores at each row's last term
+# (the tuple-keyed memo shared by every length stored 4 179).
+TABLE3_STATES = 3_286
 
 
 def test_table3_stores_the_tuple_memo_states():

@@ -28,8 +28,9 @@ COUNT_STATES = [
     ("abde", 18, 384),
 ]
 
-# Memo states stored by sequence_dp(type, n_max) over all lengths 0..n_max.
-SEQUENCE_STATES = [("bbc", 25, 3_866), ("ce", 40, 820)]
+# States sequence_dp(type, n_max) charges over all lengths 0..n_max: those
+# count_dp(type, n_max) stores.
+SEQUENCE_STATES = [("bbc", 25, 2_059), ("ce", 40, 820)]
 
 
 @pytest.mark.parametrize("letters, n, states", COUNT_STATES)

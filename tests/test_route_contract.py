@@ -1,6 +1,6 @@
 """Every counting route refuses through GuardExceeded, and the CLI checks its limits on every route.
 
-The DP recurses once per step, so a length past the interpreter's
+count_dp recurses once per step, so a length past the interpreter's
 recursion limit is refused as GuardExceeded with the interpreter's text.
 The CLI reads --max-brute and WALKS_MAX_STATES before it picks a route,
 so a bad value is refused the same way whichever route would run.  Also:
@@ -10,7 +10,7 @@ its path without scanning the word again.
 
 import pytest
 
-from touchard import GuardExceeded, bijections, canonicalize_type, cli, count_dp, parse_walk, sequence_dp
+from touchard import GuardExceeded, bijections, canonicalize_type, cli, count_dp, parse_walk
 from touchard.cli import ENV_MAX_STATES, main
 
 from goldens import DEMO_DYCK, DEMO_WALK
@@ -28,9 +28,8 @@ def run_cli(capsys, *argv):
     "call",
     [
         lambda: count_dp(canonicalize_type("ae"), 1500),
-        lambda: sequence_dp(canonicalize_type("c"), 2000),
     ],
-    ids=["count_dp-ae-1500", "sequence_dp-c-2000"],
+    ids=["count_dp-ae-1500"],
 )
 def test_dp_refuses_the_recursion_limit_as_its_guard(call):
     with pytest.raises(GuardExceeded) as info:

@@ -20,10 +20,10 @@ canonical heights vector, keyed by an integer with one digit per
 constrained dimension, to an integer id once, so a child's key is its
 parent's plus or minus one power of the radix and its heights tuple is
 built only when the key is new.  The origin is interned like every
-other state.  Each id keeps one pending record, its heights, key and
-need (the sum of its returning heights, excursions and bridges), from
-the moment it is interned until its moves are built, once; each move
-carries its child's need.  A state is dead when its need exceeds the
+other state.  Each id keeps its need (the sum of its returning heights,
+excursions and bridges), and one pending record, its heights and key,
+from the moment it is interned until its moves are built, once; each
+move carries its child's need.  A state is dead when its need exceeds the
 steps left, or, for a type with no free direction and no meander,
 differs from them in parity; dead states count 0 and are never stored.
 Both DP routes read one such table, local to one call.  count_dp
@@ -167,29 +167,37 @@ def _brute_joins(walk_type: WalkType, n: int, limits: ResourceLimits | None):
 def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) -> int:
     """Exact count of valid length-n walks via memoized recursion.
 
-    The memo is local to this call and freed on return.  counts[i], the
-    slot _state_table keeps for id i, maps the steps remaining k to the
-    completion count of (k, id i); stored is the number of counts rec
-    stores, which the state guard bounds.  rec looks each child's count
-    up in the child's dict, carried by the move, before it calls itself,
-    so a stored child costs no call.  An id of need 0 counts the one
-    completion with no step left, outside stored.  A parity-locked type
-    counts 0 at odd n without building a state.
+    The memo is local to this call (see _completions) and freed on return.
+    Raises GuardExceeded past limits.max_dp_states or the interpreter's
+    recursion limit (the recursion takes one frame per step).
+    """
+    if n < 0:
+        raise ValueError(f"walk length must be >= 0, got {n}")
+    return _completions(walk_type, n, limits or DEFAULT_LIMITS)
+
+
+def _completions(walk_type: WalkType, n: int, limits: ResourceLimits) -> int:
+    """count_dp's count: walk completions from the origin in n steps.
+
+    counts[i], kept by _state_table for id i, maps the steps remaining k
+    to the completion count of (k, id i); stored is the number of counts
+    rec stores, which the state guard bounds.  rec looks each child's
+    count up in the child's dict, carried by the move, before it calls
+    itself, so a stored child costs no call.  An id of need 0 starts
+    with the one completion of no step, outside stored.  A parity-locked
+    type counts 0 at odd n without building a state.
 
     rec calls itself once per step, so a length near the interpreter's
     recursion limit raises RecursionError, which is refused as
     GuardExceeded with the interpreter's text.  rec refers to itself
     through its closure cell; the finally clause breaks that cycle, so
     the memo is freed by reference counting on return, also when the
-    state guard (limits.max_dp_states) or the recursion limit raises.
+    state guard or the recursion limit raises.
     """
-    if n < 0:
-        raise ValueError(f"walk length must be >= 0, got {n}")
     if n % 2 and _parity_locked(walk_type):
         return 0
-    limit = (limits or DEFAULT_LIMITS).max_dp_states
-    # An id of need 0 starts with the one completion of no step.
-    moves, counts, expand = _state_table(walk_type, n + 2, lambda need: {} if need else {0: 1})
+    limit = limits.max_dp_states
+    moves, _, counts, expand = _state_table(walk_type, n + 2)
     stored = 0
 
     def rec(k: int, hid: int) -> int:
@@ -245,7 +253,7 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
     limit = (limits or DEFAULT_LIMITS).max_dp_states
     bits = (walk_type.step_count - 1).bit_length()
     last = n_max - 1 if n_max % 2 and _parity_locked(walk_type) else n_max
-    moves, needs, expand = _state_table(walk_type, last + 2, int)
+    moves, needs, _, expand = _state_table(walk_type, last + 2)
     layer = {0: 1}
     totals = []
     charged = 0
@@ -289,8 +297,8 @@ def _parity_locked(walk_type: WalkType) -> bool:
     )
 
 
-def _state_table(walk_type: WalkType, radix: int, slot) -> tuple:
-    """The DP's states and their moves, built on demand: (moves, slots, expand).
+def _state_table(walk_type: WalkType, radix: int) -> tuple:
+    """The DP's states and their moves, built on demand: (moves, needs, counts, expand).
 
     States are canonical heights, one per orbit of the symmetries that
     preserve the count.  A bridge is symmetric under h -> -h, so its
@@ -314,15 +322,16 @@ def _state_table(walk_type: WalkType, radix: int, slot) -> tuple:
     child's key is the parent's plus radix**p; the down move lowers
     position c, so it is the parent's minus radix**c.  One addition and
     one probe of ids find a child, and its heights tuple is built only
-    when its key is new.  pending[i] is id i's record (heights, key,
-    need), its need set when it is interned from its parent's need: the
-    sum of its returning heights (excursions and bridges, bridges as
-    |h|).  expand builds moves[i] from it, once, as a tuple of (weight,
-    child id, the child's need, the child's slot), and then releases it.
-    slots[i] = slot(need) is what the route keeps for id i: count_dp's
-    counts dict, or the sweep's need (slot int).  A move carries its
-    child's slot, so count_dp's recursion finds a child's counts with no
-    lookup by id.
+    when its key is new.  needs[i] is id i's need, set when it is
+    interned from its parent's need: the sum of its returning heights
+    (excursions and bridges, bridges as |h|).  pending[i] is id i's
+    record (heights, key); expand builds moves[i] from it and needs[i],
+    once, as a tuple of (weight, child id, the child's need, the child's
+    counts), and then releases it.  counts[i] is count_dp's memo dict of
+    id i, {0: 1} (the one completion of no step) iff its need is 0; a
+    move carries its child's dict, so the recursion finds a child's
+    counts with no lookup by id.  The sweep reads needs and leaves counts
+    as they start.
 
     A returning height h needs at least h steps to reach 0 and one step
     moves one dimension, so a state whose need exceeds the steps left is
@@ -342,18 +351,21 @@ def _state_table(walk_type: WalkType, radix: int, slot) -> tuple:
     ids = {}
     pending = []
     moves = []
-    slots = []
+    needs = []
+    counts = []
 
     def intern(key: int, heights: tuple, need: int) -> int:
         cid = ids[key] = len(moves)
-        pending.append((heights, key, need))
+        pending.append((heights, key))
         moves.append(None)
-        slots.append(slot(need))
+        needs.append(need)
+        counts.append({} if need else {0: 1})
         return cid
 
     def expand(hid: int) -> tuple:
-        heights, key, need = pending[hid]
-        built = [(r, hid, need, slots[hid])] if r else []
+        heights, key = pending[hid]
+        need = needs[hid]
+        built = [(r, hid, need, counts[hid])] if r else []
         ci = 0
         while ci < span:
             h = heights[ci]
@@ -366,18 +378,18 @@ def _state_table(walk_type: WalkType, radix: int, slot) -> tuple:
             cid = ids.get(child)
             if cid is None:
                 cid = intern(child, heights[: end - 1] + (h + 1,) + heights[end:], child_need)
-            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need, slots[cid]))
+            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need, counts[cid]))
             if h:
                 child_need = need - returns[ci]
                 child = key - place[ci]
                 cid = ids.get(child)
                 if cid is None:
                     cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
-                built.append((m, cid, child_need, slots[cid]))
+                built.append((m, cid, child_need, counts[cid]))
             ci = end
         pending[hid] = None
         built = moves[hid] = tuple(built)
         return built
 
     intern(0, (0,) * span, 0)
-    return moves, slots, expand
+    return moves, needs, counts, expand

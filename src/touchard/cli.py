@@ -173,6 +173,8 @@ def _cmd_dyck(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max is not None and args.n_max < 0:
+        raise CliError("--n-max must be >= 0")
     from . import catalog
 
     limits = _limits(args)

@@ -26,14 +26,16 @@ from the moment it is interned until its moves are built, once; each
 move carries its child's need.  A state is dead when its need exceeds the
 steps left, or, for a type with no free direction and no meander,
 differs from them in parity; dead states count 0 and are never stored.
-Both DP routes read one such table, local to one call.  count_dp
-recurses over (steps remaining, id) through a memo of completion counts,
-so it stops at the interpreter's recursion limit.  sequence_dp sweeps
-forward over layers of walks counted by the id they end at, keeping two
-layers live, and makes no recursive call; its layers hold exactly the
-states count_dp stores at the last length.
+Both DP routes read one such table, local to one call, which holds
+states and moves and no counts.  count_dp recurses over (steps remaining,
+id) through a memo of completion counts that it owns, one dict per steps
+remaining, so it stops at the interpreter's recursion limit.  sequence_dp
+sweeps forward over layers of walks counted by the id they end at,
+keeping two layers live, and makes no recursive call; its layers hold
+exactly the states count_dp charges at the last length.
 """
 
+import collections
 import functools
 import itertools
 import operator
@@ -179,44 +181,50 @@ def count_dp(walk_type: WalkType, n: int, limits: ResourceLimits | None = None) 
 def _completions(walk_type: WalkType, n: int, limits: ResourceLimits) -> int:
     """count_dp's count: walk completions from the origin in n steps.
 
-    counts[i], kept by _state_table for id i, maps the steps remaining k
-    to the completion count of (k, id i); stored is the number of counts
-    rec stores, which the state guard bounds.  rec looks each child's
-    count up in the child's dict, carried by the move, before it calls
-    itself, so a stored child costs no call.  An id of need 0 starts
-    with the one completion of no step, outside stored.  A parity-locked
+    The memo is one dict per steps remaining k, made when rec first
+    needs it, never ahead: memo[k] maps an id to the completion count of
+    (k steps remaining, that id).  rec binds its children's layer,
+    memo[k - 1], once per call and looks each child up there before it
+    calls itself, so a stored child costs no call; a child rec computes
+    is stored there by its caller.  stored is the number of counts rec
+    computes, the origin's among them, which the state guard bounds.
+    With no step left a child of need 0 completes one walk, the empty
+    one, so its count is 1, neither stored nor charged.  A parity-locked
     type counts 0 at odd n without building a state.
 
     rec calls itself once per step, so a length near the interpreter's
     recursion limit raises RecursionError, which is refused as
-    GuardExceeded with the interpreter's text.  rec refers to itself
-    through its closure cell; the finally clause breaks that cycle, so
-    the memo is freed by reference counting on return, also when the
-    state guard or the recursion limit raises.
+    GuardExceeded with the interpreter's text.  That frame count fixes
+    the length count_dp refuses, so count_dp still calls this function
+    and rec, one frame each, rather than counting in place.  rec refers
+    to itself through its closure cell; the finally clause breaks that
+    cycle, so the memo is freed by reference counting on return, also
+    when the state guard or the recursion limit raises.
     """
     if n % 2 and _parity_locked(walk_type):
         return 0
     limit = limits.max_dp_states
-    moves, _, counts, expand = _state_table(walk_type, n + 2)
+    moves, _, expand = _state_table(walk_type, n + 2)
+    memo = collections.defaultdict(dict)
     stored = 0
 
     def rec(k: int, hid: int) -> int:
         nonlocal stored
         steps = k - 1
         total = 0
-        for weight, cid, child_need, child_counts in moves[hid] or expand(hid):
+        done = memo[steps]
+        for weight, cid, child_need in moves[hid] or expand(hid):
             if child_need > steps:
                 continue
-            count = child_counts.get(steps)
+            count = done.get(cid) if steps else 1
             if count is None:
-                count = rec(steps, cid)
+                count = done[cid] = rec(steps, cid)
             total += weight * count
         if stored >= limit:
             raise GuardExceeded(
                 f"DP for type {walk_type} needs more than {limit} memo states"
             )
         stored += 1
-        counts[hid][k] = total
         return total
 
     try:
@@ -237,23 +245,24 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
     A child is kept only if its need fits the steps left after the move,
     n_max - j - 1, so no walk that a length <= n_max counts is pruned,
     and the layers before n_max hold exactly the states count_dp(walk_type,
-    n_max) stores.  Length j counts the walks of layer j that end at need
+    n_max) charges.  Length j counts the walks of layer j that end at need
     0.  Only two layers are live at a time, and no call recurses, so the
     recursion limit does not bound n_max.
 
     Each layer is charged to the state guard as it is expanded, so a
-    completed sweep charges what count_dp(walk_type, n_max) stores.  The
-    bits guard checks charged states * n * bits before each length n,
-    bits being the most one step adds to a count.  A parity-locked type
-    counts 0 at every odd length, so at odd n_max the sweep stops at
-    n_max - 1, charging what count_dp stores there, and appends 0.
+    completed sweep charges as many states as count_dp(walk_type,
+    n_max).  The bits guard checks charged states * n * bits before each
+    length n, bits being the most one step adds to a count.  A
+    parity-locked type counts 0 at every odd length, so at odd n_max the
+    sweep stops at n_max - 1, charging as count_dp does there, and
+    appends 0.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     limit = (limits or DEFAULT_LIMITS).max_dp_states
     bits = (walk_type.step_count - 1).bit_length()
     last = n_max - 1 if n_max % 2 and _parity_locked(walk_type) else n_max
-    moves, needs, _, expand = _state_table(walk_type, last + 2)
+    moves, needs, expand = _state_table(walk_type, last + 2)
     layer = {0: 1}
     totals = []
     charged = 0
@@ -278,7 +287,7 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
                 # count alone is not copied, as 0 + count would be.
                 total = total + count if total else count
             # A move of weight 1 adds the count itself: no long multiplication.
-            for weight, cid, child_need, _ in moves[hid] or expand(hid):
+            for weight, cid, child_need in moves[hid] or expand(hid):
                 if child_need <= bound:
                     nxt[cid] = get(cid, 0) + (count if weight == 1 else weight * count)
         totals.append(total)
@@ -298,7 +307,7 @@ def _parity_locked(walk_type: WalkType) -> bool:
 
 
 def _state_table(walk_type: WalkType, radix: int) -> tuple:
-    """The DP's states and their moves, built on demand: (moves, needs, counts, expand).
+    """The DP's states and their moves, built on demand: (moves, needs, expand).
 
     States are canonical heights, one per orbit of the symmetries that
     preserve the count.  A bridge is symmetric under h -> -h, so its
@@ -326,12 +335,8 @@ def _state_table(walk_type: WalkType, radix: int) -> tuple:
     interned from its parent's need: the sum of its returning heights
     (excursions and bridges, bridges as |h|).  pending[i] is id i's
     record (heights, key); expand builds moves[i] from it and needs[i],
-    once, as a tuple of (weight, child id, the child's need, the child's
-    counts), and then releases it.  counts[i] is count_dp's memo dict of
-    id i, {0: 1} (the one completion of no step) iff its need is 0; a
-    move carries its child's dict, so the recursion finds a child's
-    counts with no lookup by id.  The sweep reads needs and leaves counts
-    as they start.
+    once, as a tuple of (weight, child id, the child's need), and then
+    releases it.
 
     A returning height h needs at least h steps to reach 0 and one step
     moves one dimension, so a state whose need exceeds the steps left is
@@ -352,20 +357,18 @@ def _state_table(walk_type: WalkType, radix: int) -> tuple:
     pending = []
     moves = []
     needs = []
-    counts = []
 
     def intern(key: int, heights: tuple, need: int) -> int:
         cid = ids[key] = len(moves)
         pending.append((heights, key))
         moves.append(None)
         needs.append(need)
-        counts.append({} if need else {0: 1})
         return cid
 
     def expand(hid: int) -> tuple:
         heights, key = pending[hid]
         need = needs[hid]
-        built = [(r, hid, need, counts[hid])] if r else []
+        built = [(r, hid, need)] if r else []
         ci = 0
         while ci < span:
             h = heights[ci]
@@ -378,18 +381,18 @@ def _state_table(walk_type: WalkType, radix: int) -> tuple:
             cid = ids.get(child)
             if cid is None:
                 cid = intern(child, heights[: end - 1] + (h + 1,) + heights[end:], child_need)
-            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need, counts[cid]))
+            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need))
             if h:
                 child_need = need - returns[ci]
                 child = key - place[ci]
                 cid = ids.get(child)
                 if cid is None:
                     cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
-                built.append((m, cid, child_need, counts[cid]))
+                built.append((m, cid, child_need))
             ci = end
         pending[hid] = None
         built = moves[hid] = tuple(built)
         return built
 
     intern(0, (0,) * span, 0)
-    return moves, needs, counts, expand
+    return moves, needs, expand

@@ -165,6 +165,12 @@ def test_verify_maxn_alias(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize("target", [("--type", "e"), ("--table3",)])
+def test_verify_refuses_a_negative_n_max_by_its_flag(capsys, target):
+    code, out, err = run_cli(capsys, "verify", *target, "--n-max", "-1")
+    assert (code, out, err) == (1, "", "error: --n-max must be >= 0\n")
+
+
 def test_verify_needs_a_target(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 1

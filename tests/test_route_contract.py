@@ -1,12 +1,15 @@
 """Every counting route refuses through GuardExceeded, and the CLI checks its limits on every route.
 
 count_dp recurses once per step, so a length past the interpreter's
-recursion limit is refused as GuardExceeded with the interpreter's text.
+recursion limit is refused as GuardExceeded with the interpreter's text,
+at once and in little memory even when the length is huge.
 The CLI reads --max-brute and WALKS_MAX_STATES before it picks a route,
 so a bad value is refused the same way whichever route would run.  Also:
 render takes --dyck or --type, never both, and touchard_to_dyck builds
 its path without scanning the word again.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -28,14 +31,24 @@ def run_cli(capsys, *argv):
     "call",
     [
         lambda: count_dp(canonicalize_type("ae"), 1500),
+        lambda: count_dp(canonicalize_type("ae"), 10**7),
+        lambda: count_dp(canonicalize_type("aaaa"), 10**7),
+        lambda: count_dp(canonicalize_type("e"), 10**7),
     ],
-    ids=["count_dp-ae-1500"],
+    ids=["count_dp-ae-1500", "count_dp-ae-10000000", "count_dp-aaaa-10000000", "count_dp-e-10000000"],
 )
 def test_dp_refuses_the_recursion_limit_as_its_guard(call):
-    with pytest.raises(GuardExceeded) as info:
-        call()
+    # A memo made ahead for every length would take about 700 MiB at n = 10**7.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded) as info:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert str(info.value).startswith(RECURSION_TEXT)
     assert info.value.__cause__ is None
+    assert peak < 16 * 2**20
 
 
 def test_cli_recursion_refusal_keeps_the_interpreter_text(capsys):

@@ -1,4 +1,9 @@
-"""sequence_dp shares one memo across every length of one call."""
+"""sequence_dp's state guard trips at the exact count of states its one sweep charges.
+
+The sweep keeps two layers of counts live, not a memo shared across
+lengths, and charges each layer as it expands it: the states count_dp
+charges at the last length.
+"""
 
 import pytest
 

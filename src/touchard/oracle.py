@@ -30,9 +30,11 @@ Both DP routes read one such table, local to one call, which holds
 states and moves and no counts.  count_dp recurses over (steps remaining,
 id) through a memo of completion counts that it owns, one dict per steps
 remaining, so it stops at the interpreter's recursion limit.  sequence_dp
-sweeps forward over layers of walks counted by the id they end at,
-keeping two layers live, and makes no recursive call; its layers hold
-exactly the states count_dp charges at the last length.
+sweeps forward over layers of walks counted by the id they end at: a
+layer is a list with one slot per interned id, beside the list of the
+ids it reaches.  Two layers are live at a time, no call recurses, and
+the reached ids are exactly the states count_dp charges at the last
+length.
 """
 
 import collections
@@ -238,24 +240,29 @@ def _completions(walk_type: WalkType, n: int, limits: ResourceLimits) -> int:
 def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None = None) -> list:
     """Counts for every length 0..n_max, from one forward sweep.
 
-    Layer j maps each id reached in j steps to the number of j-step walks
-    from the origin that end in its orbit.  Every state of an orbit has
-    the same moves into each other orbit, so a move of weight w from a
-    state of layer j with c walks adds w * c to its child in layer j + 1.
-    A child is kept only if its need fits the steps left after the move,
-    n_max - j - 1, so no walk that a length <= n_max counts is pruned,
-    and the layers before n_max hold exactly the states count_dp(walk_type,
-    n_max) charges.  Length j counts the walks of layer j that end at need
-    0.  Only two layers are live at a time, and no call recurses, so the
-    recursion limit does not bound n_max.
+    Layer j is a list indexed by id: slot i holds the number of j-step
+    walks from the origin that end in id i's orbit, 0 where none do.
+    live lists, in id order, the ids reached in j steps, whose slots are
+    nonzero, since a reached state counts at least one walk.  Every
+    state of an orbit has the same moves into each other orbit, so a move
+    of weight w from a state of layer j with c walks adds w * c to its
+    child's slot in layer j + 1.  A child is kept only if its need fits
+    the steps left after the move, n_max - j - 1, so no walk that a
+    length <= n_max counts is pruned, and the live ids of the layers
+    before n_max are exactly the states count_dp(walk_type, n_max)
+    charges.  Length j counts the walks of layer j that end at need 0.
+    Each layer first expands its live ids that have no moves yet, so
+    every child has an id before layer j + 1 is made, one slot per
+    interned id.  Only two layers are live at a time, and no call
+    recurses, so the recursion limit does not bound n_max.
 
-    Each layer is charged to the state guard as it is expanded, so a
-    completed sweep charges as many states as count_dp(walk_type,
-    n_max).  The bits guard checks charged states * n * bits before each
-    length n, bits being the most one step adds to a count.  A
-    parity-locked type counts 0 at every odd length, so at odd n_max the
-    sweep stops at n_max - 1, charging as count_dp does there, and
-    appends 0.
+    Each layer's live ids are charged to the state guard as it is
+    expanded, so a completed sweep charges as many states as
+    count_dp(walk_type, n_max).  The bits guard checks charged states *
+    n * bits before each length n, bits being the most one step adds to
+    a count.  A parity-locked type counts 0 at every odd length, so at
+    odd n_max the sweep stops at n_max - 1, charging as count_dp does
+    there, and appends 0.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -263,7 +270,7 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
     bits = (walk_type.step_count - 1).bit_length()
     last = n_max - 1 if n_max % 2 and _parity_locked(walk_type) else n_max
     moves, needs, expand = _state_table(walk_type, last + 2)
-    layer = {0: 1}
+    layer, live = [1], [0]
     totals = []
     charged = 0
     for n in range(1, last + 1):
@@ -272,28 +279,33 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
                 f"DP for type {walk_type} at n = {n} needs more than "
                 f"{MAX_DP_BITS} bits of counts"
             )
-        charged += len(layer)
+        charged += len(live)
         if charged > limit:
             raise GuardExceeded(
                 f"DP for type {walk_type} needs more than {limit} memo states"
             )
-        # A child's need may not exceed the steps left after its move.
-        bound = last - n
-        nxt = {}
-        get = nxt.get
         total = 0
-        for hid, count in layer.items():
+        for hid in live:
+            if moves[hid] is None:
+                expand(hid)
             if not needs[hid]:
                 # count alone is not copied, as 0 + count would be.
-                total = total + count if total else count
-            # A move of weight 1 adds the count itself: no long multiplication.
-            for weight, cid, child_need in moves[hid] or expand(hid):
-                if child_need <= bound:
-                    nxt[cid] = get(cid, 0) + (count if weight == 1 else weight * count)
+                total = total + layer[hid] if total else layer[hid]
         totals.append(total)
+        # Every child of a live id is interned now, so nxt has its slot.
+        nxt = [0] * len(moves)
+        # A child's need may not exceed the steps left after its move.
+        bound = last - n
+        for hid in live:
+            count = layer[hid]
+            # A move of weight 1 adds the count itself: no long multiplication.
+            for weight, cid, child_need in moves[hid]:
+                if child_need <= bound:
+                    nxt[cid] += count if weight == 1 else weight * count
         layer = nxt
+        live = list(itertools.compress(range(len(nxt)), nxt))
     # The last layer holds only states of need 0.
-    totals.append(sum(layer.values()))
+    totals.append(sum(layer))
     if last < n_max:
         totals.append(0)
     return totals

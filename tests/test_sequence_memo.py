@@ -9,8 +9,8 @@ import pytest
 
 from touchard import GuardExceeded, ResourceLimits, canonicalize_type, sequence_dp
 
-# Memo states stored by sequence_dp over all lengths 0..n_max, which no
-# single length stores alone.
+# States sequence_dp charges over its sweep to n_max, the same states
+# count_dp charges at n_max alone.
 SEQUENCE_STATES = [("aaaa", 30, 1_332), ("aaa", 60, 9_215)]
 
 

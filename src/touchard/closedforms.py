@@ -34,14 +34,14 @@ Zeilberger, A = B, 1996).  general_count sums each parity class of k
 whose terms are not all 0, from its first term (b_n at k = 0), rolling
 term k + 2 from term k: a's ratio at k times b's inverted at n - k - 2.
 Two factors whose terms are never 0 (a meander and a meander or e^{r x})
-make one class rolled one step at a time, which keeps each divisor near
-n / 2 rather than (n / 2)^2.  _pair plans the steps once per type
-(_plan): the constants fold into one fraction reduced by gcd, and each
-side's linear factors become ranges, so a term costs one multiplication
-by a small integer, one exact division by a small integer and one
-addition.  These are the 50 types with at most one constrained
-dimension or with two constrained dimensions and no free one, among
-them both sums of the paper: ae (Touchard's identity) and ce.
+make both classes, which together roll all n + 1 terms.  _pair plans the
+steps once per type (_plan): the constants fold into one fraction
+reduced by gcd, and each side's linear factors become ranges, so a term
+costs one multiplication by a small integer, one exact division by a
+small integer and one addition.  These are the 50 types with at most
+one constrained dimension or with two constrained dimensions and no
+free one, among them both sums of the paper: ae (Touchard's identity)
+and ce.
 
 Nine of those two-factor types have counts that are themselves
 hypergeometric in each parity class of n: the six constrained pairs aa,
@@ -53,8 +53,9 @@ g_(m-2) times a quotient of small integers, one per parity class.
 _plan splits each type once into units, and both entry points compute
 with them.  A unit is one record (_Unit), whether it stands for a kind
 (_KINDS), for e^{r x} (_free) or for a group (_GROUPS): its count at m,
-its two-step ratios and, for a meander and e^{r x}, its one-step ones.
-So every route below takes a unit without asking what it stands for.
+its two-step ratios and, for a meander and e^{r x}, the one-step ones
+they are built from (_stepped).  So every route below takes a unit
+without asking what it stands for.
 One or two factors are their own units.  Three or four make two units,
 at least one a group: (pair) single, as ccc = (cc) c; (pair) e^{r x}, as
 acd = (ac) e^{x}; (pair) (pair), as cccc = (cc) (cc); and (x e^{2x})
@@ -174,7 +175,8 @@ class _Unit(NamedTuple):
     and for odd m, where u_m = count(m) / m! is the unit's EGF
     coefficient.  odd is None when every odd term is 0.  one holds the
     ratios u_(m + 1) / u_m for even and for odd m of a meander and of
-    e^{r x}, whose terms are never 0, and is None for every other unit.
+    e^{r x}, whose terms are never 0, and is None for every other unit:
+    it is _stepped's input, from which even and odd are built.
     """
 
     count: Callable
@@ -281,19 +283,19 @@ _GROUPS = {
     "ce": _Unit(lambda m: binomial(2 * m + 1, m), _CE, _CE),
 }
 
-def _side(const: int, k_factors: tuple, j_factors: tuple, first: int, odd_n: int, step: int):
+def _side(const: int, k_factors: tuple, j_factors: tuple, first: int, odd_n: int):
     """(const, lines): one side of a class's step, const times a h + b + c i per line (a, b, c).
 
     h is n // 2.  Step i of the class that starts at first takes k = first + 2i
-    to k + step, and j = n - k - step = 2h + odd_n - first - step - 2i.  So a
-    factor c' k + o is the line (0, c' first + o, 2 c'), and c' j + o the
-    line (2 c', c' (odd_n - first - step) + o, -2 c').  Each line is divided
-    by the gcd of its coefficients, which moves into const, so the factors
-    stay small.
+    to k + 2, and j = n - k - 2 = 2h + odd_n - first - 2 - 2i.  So a factor
+    c' k + o is the line (0, c' first + o, 2 c'), and c' j + o the line
+    (2 c', c' (odd_n - first - 2) + o, -2 c').  Each line is divided by the
+    gcd of its coefficients, which moves into const, so the factors stay
+    small.
     """
     lines = []
     for a, b, c in [(0, c * first + o, 2 * c) for c, o in k_factors] + [
-        (2 * c, c * (odd_n - first - step) + o, -2 * c) for c, o in j_factors
+        (2 * c, c * (odd_n - first - 2) + o, -2 * c) for c, o in j_factors
     ]:
         g = gcd(a, b, c)
         const *= g
@@ -351,7 +353,7 @@ def _kind_plan(unit: _Unit) -> tuple:
                 if factor in dens:
                     nums.remove(factor)
                     dens.remove(factor)
-            p, q = _side(num.const, nums, (), first, 0, 2), _side(den.const, dens, (), first, 0, 2)
+            p, q = _side(num.const, nums, (), first, 0), _side(den.const, dens, (), first, 0)
             classes.append((first, _term(unit, first), *_reduced(p, q)))
     return tuple(classes)
 
@@ -372,42 +374,31 @@ def _term(unit: _Unit, k: int) -> int:
     return unit.count(k)
 
 
-def _step(a_ratio: tuple, b_ratio: tuple, first: int, odd_n: int, step: int) -> tuple:
-    """Sides (p, q) of a step from k to k + step: a's ratio at k, b's inverted at n - k - step."""
+def _step(a_ratio: tuple, b_ratio: tuple, first: int, odd_n: int) -> tuple:
+    """Sides (p, q) of a step from k to k + 2: a's ratio at k, b's inverted at n - k - 2."""
     (a_num, a_den), (b_num, b_den) = a_ratio, b_ratio
-    p = _side(a_num.const * b_den.const, a_num.factors, b_den.factors, first, odd_n, step)
-    q = _side(a_den.const * b_num.const, a_den.factors, b_num.factors, first, odd_n, step)
+    p = _side(a_num.const * b_den.const, a_num.factors, b_den.factors, first, odd_n)
+    q = _side(a_den.const * b_num.const, a_den.factors, b_num.factors, first, odd_n)
     return _reduced(p, q)
 
 
 def _pair(a: _Unit, b: _Unit) -> tuple:
     """(a, b, classes): the plan of the rolled sum of a and b (_rolled_sum).
 
-    classes holds, for even and for odd n, the classes (first, steps): the
+    classes holds, for even and for odd n, the classes (first, p, q): the
     terms k = first, first + 2, ... whose a_k and b_(n-k) are not all 0,
-    and the one step (p, q) from k to k + 2, a's ratio at k times b's
-    inverted at j = n - k - 2.  When no term of a or b is 0 (a meander or
-    e^{r x} each) there is one class, first 0, and two steps: from even k
-    to k + 1 and from odd k to k + 1, so every divisor stays about n / 2.
-    Each step's constants fold into one fraction, reduced by gcd.
+    and the step (p, q) from k to k + 2, a's ratio at k times b's
+    inverted at j = n - k - 2, its constants folded into one fraction
+    reduced by gcd.  When no term of a or b is 0 (a meander or e^{r x}
+    each) both classes are planned, and together they roll all n + 1 terms.
     """
     classes = ([], [])
     for odd_n in (0, 1):
-        if a.one and b.one:
-            # Two-step classes would count these pairs too, but each of their
-            # divisors is a product of two factors near n / 2 where a one-step
-            # divisor is one.  With two-step classes alone, per-n counts of ce
-            # and of cc for n = 0..500 took 41 to 56 ms each against 30 to 38
-            # ms (best of 15, 2-core Xeon guest); at n = 32 767 the two plans
-            # came within about 10 % of each other.
-            steps = tuple(_step(a.one[k], b.one[(odd_n - k - 1) % 2], k, odd_n, 1) for k in (0, 1))
-            classes[odd_n].append((0, steps))
-            continue
         for first in (0, 1):
             a_ratio = a.odd if first else a.even
             b_ratio = b.odd if (odd_n - first) % 2 else b.even
             if a_ratio and b_ratio:
-                classes[odd_n].append((first, (_step(a_ratio, b_ratio, first, odd_n, 2),)))
+                classes[odd_n].append((first, *_step(a_ratio, b_ratio, first, odd_n)))
     return a, b, classes
 
 
@@ -416,34 +407,20 @@ def _rolled_sum(pair: tuple, n: int) -> int:
 
     a and b are units.  Term k is n! e_k f_(n-k) for the EGF
     coefficients e of a and f of b, so the sum runs over each class of k
-    that _pair planned, by its steps: one multiplication by p, one exact
-    division by q, both small integers read off ranges, and one addition
-    per term.  A class starts from its first term, from exactmath: b_n at
-    k = 0 and n a_1 b_(n-1) at k = 1.
+    that _pair planned, two steps at a time: one multiplication by p, one
+    exact division by q, both small integers read off ranges, and one
+    addition per term.  A class starts from its first term, from
+    exactmath: b_n at k = 0 and n a_1 b_(n-1) at k = 1.
     """
     a, b, classes = pair
     h, total = n // 2, 0
-    for first, steps in classes[n % 2]:
+    for first, p_side, q_side in classes[n % 2]:
         if first > n:
             break
         term = n * _term(a, 1) * _term(b, n - 1) if first else _term(b, n)
         total += term
-        (p_side, q_side), *odd = steps
-        count = (n - first + len(odd)) // 2
-        ps, qs = _products(p_side, h, count), _products(q_side, h, count)
-        if odd:
-            # Steps from even k, each followed by the step from odd k + 1.  zip
-            # asks the odd steps first, so when they run out for an odd n, the
-            # last even step is left in the iterators for the loop below.
-            (p_odd, q_odd), = odd
-            ps, qs = iter(ps), iter(qs)
-            p1s, q1s = _products(p_odd, h, n // 2), _products(q_odd, h, n // 2)
-            for p1, q1, p, q in zip(p1s, q1s, ps, qs):
-                term = term * p // q
-                total += term
-                term = term * p1 // q1
-                total += term
-        for p, q in zip(ps, qs):
+        count = (n - first) // 2
+        for p, q in zip(_products(p_side, h, count), _products(q_side, h, count)):
             term = term * p // q
             total += term
     return total
@@ -460,9 +437,10 @@ def _work(n: int, bits: int, tables: int, full: int, at_n: int, step: int) -> in
     index pair multiplies numbers of about size bits: size bit operations
     while interpreter overhead dominates, and size / 2048 times as many
     above 2048 bits, where the multiplications themselves take over.  A
-    rolled sum of step s has n // s + 1 terms, each one multiplication
-    and one exact division by a small integer: 2 * size; step 0 rolls
-    none.  Every part rises with n, so the work does too.
+    rolled sum has n // step + 1 terms, step 2 when a unit's odd terms
+    are 0 and 1 otherwise, each one multiplication and one exact division
+    by a small integer: 2 * size; step 0 rolls none.  Every part rises
+    with n, so the work does too.
     """
     size = (n + 1) * bits
     pairs = full * (n + 1) * (n + 2) // 2 + at_n * (n + 1)

@@ -13,27 +13,33 @@ documented defects in the published tables, NOTE lines:
   binomial(2n + 1, n), but that closed form counts type ce; the
   summation quadrant_axis_sum is what actually matches the ac oracle.
 
-Loading the golden tables compiles neither closedforms nor exactmath,
-and this module imports neither dataclasses (which loads inspect) nor
-importlib.resources.  The golden records, the table 2 entries and the
-report rows are NamedTuples: they copy with _replace and _asdict and
-compare as tuples.  data/table3.txt is read through the package's own
-loader, as pkgutil.get_data reads it.  The nine formula names verify
-calls are bound at import to touchard._on_first_call stand-ins: each
-loads its module on its first call and binds the loaded function in its
-place.  The named closed forms look these names up when they run, so a
-name replaced with setattr, before its first call or after, is the one
-verify calls.
+Loading the golden tables compiles neither the DP oracle nor
+closedforms nor exactmath, and this module imports neither dataclasses
+(which loads inspect) nor importlib.resources.  The golden records, the
+table 2 entries and the report rows are NamedTuples: they copy with
+_replace and _asdict and compare as tuples.  data/table3.txt is read
+through the package's own loader, as pkgutil.get_data reads it.  The
+nine formula names verify calls, and sequence_dp, are bound at import
+to touchard._on_first_call stand-ins: each loads its module on its first
+call and binds the loaded function in its place.  The named closed
+forms look these names up when they run, so a name replaced with
+setattr, before its first call or after, is the one verify calls.
+verify and _formula_prefix import GuardExceeded when they run, and
+ResourceLimits is named only in annotations, which are not evaluated.
 """
+
+from __future__ import annotations
 
 import os
 from functools import cache
 from itertools import zip_longest
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _on_first_call
-from .oracle import GuardExceeded, ResourceLimits, sequence_dp
 from .walks import WalkType, canonicalize_type
+
+if TYPE_CHECKING:
+    from .oracle import ResourceLimits
 
 aa_closed = _on_first_call("aa_closed", globals())
 ab_closed = _on_first_call("ab_closed", globals())
@@ -44,6 +50,7 @@ general_sequence = _on_first_call("general_sequence", globals())
 halfplane_closed = _on_first_call("halfplane_closed", globals())
 motzkin = _on_first_call("motzkin", globals())
 quadrant_axis_sum = _on_first_call("quadrant_axis_sum", globals())
+sequence_dp = _on_first_call("sequence_dp", globals())
 
 
 class SequenceRecord(NamedTuple):
@@ -266,6 +273,8 @@ def _formula_prefix(walk_type: WalkType, n_max: int) -> tuple:
     the type's plan (closedforms._plan), worked out once per budget, so
     only that prefix is computed.
     """
+    from .oracle import GuardExceeded
+
     try:
         return general_sequence(walk_type, n_max), None
     except GuardExceeded as exc:
@@ -294,6 +303,8 @@ def verify(
     NOTE.  Lengths that no column fills are omitted with a WARN.  records
     are the golden records (golden_table3() by default).
     """
+    from .oracle import GuardExceeded
+
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     records = golden_table3() if records is None else records

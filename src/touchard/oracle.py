@@ -27,14 +27,19 @@ move carries its child's need.  A state is dead when its need exceeds the
 steps left, or, for a type with no free direction and no meander,
 differs from them in parity; dead states count 0 and are never stored.
 Both DP routes read one such table, local to one call, which holds
-states and moves and no counts.  count_dp recurses over (steps remaining,
-id) through a memo of completion counts that it owns, one dict per steps
-remaining, so it stops at the interpreter's recursion limit.  sequence_dp
-sweeps forward over layers of walks counted by the id they end at: a
-layer is a list with one slot per interned id, beside the list of the
-ids it reaches.  Two layers are live at a time, no call recurses, and
-the reached ids are exactly the states count_dp charges at the last
-length.
+states and moves and no counts, and both add a child's count as it is
+for a move of weight 1, so a unit move makes no long multiplication.
+count_dp recurses over (steps remaining, id) through a memo of
+completion counts that it owns, one dict per steps remaining, so it
+stops at the interpreter's recursion limit; it expands every state in
+full, since a later visit to a state can have more steps left.
+sequence_dp sweeps forward over layers of walks counted by the id they
+end at: a layer is a list with one slot per interned id, beside the list
+of the ids it reaches.  Two layers are live at a time, no call recurses,
+and the reached ids are exactly the states count_dp charges at the last
+length.  The sweep expands each state with the steps left at its first
+live layer and interns no child whose need exceeds them, so its table
+holds exactly the ids it reaches.
 """
 
 import collections
@@ -191,8 +196,12 @@ def _completions(walk_type: WalkType, n: int, limits: ResourceLimits) -> int:
     is stored there by its caller.  stored is the number of counts rec
     computes, the origin's among them, which the state guard bounds.
     With no step left a child of need 0 completes one walk, the empty
-    one, so its count is 1, neither stored nor charged.  A parity-locked
-    type counts 0 at odd n without building a state.
+    one, so its count is 1, neither stored nor charged.  A child reached
+    by a move of weight 1 adds its count as it is, with no long
+    multiplication.  rec expands a state with no bound on the steps left:
+    the first visit to a state need not be the one with the most steps
+    left.  A parity-locked type counts 0 at odd n without building a
+    state.
 
     rec calls itself once per step, so a length near the interpreter's
     recursion limit raises RecursionError, which is refused as
@@ -221,7 +230,7 @@ def _completions(walk_type: WalkType, n: int, limits: ResourceLimits) -> int:
             count = done.get(cid) if steps else 1
             if count is None:
                 count = done[cid] = rec(steps, cid)
-            total += weight * count
+            total += count if weight == 1 else weight * count
         if stored >= limit:
             raise GuardExceeded(
                 f"DP for type {walk_type} needs more than {limit} memo states"
@@ -246,15 +255,19 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
     nonzero, since a reached state counts at least one walk.  Every
     state of an orbit has the same moves into each other orbit, so a move
     of weight w from a state of layer j with c walks adds w * c to its
-    child's slot in layer j + 1.  A child is kept only if its need fits
-    the steps left after the move, n_max - j - 1, so no walk that a
-    length <= n_max counts is pruned, and the live ids of the layers
-    before n_max are exactly the states count_dp(walk_type, n_max)
-    charges.  Length j counts the walks of layer j that end at need 0.
-    Each layer first expands its live ids that have no moves yet, so
-    every child has an id before layer j + 1 is made, one slot per
-    interned id.  Only two layers are live at a time, and no call
-    recurses, so the recursion limit does not bound n_max.
+    child's slot in layer j + 1, and c itself when w is 1.  A child is
+    kept only if its need fits the steps left after the move,
+    n_max - j - 1, so no walk that a length <= n_max counts is pruned,
+    and the live ids of the layers before n_max are exactly the states
+    count_dp(walk_type, n_max) charges.  Length j counts the walks of
+    layer j that end at need 0.  Each layer first expands its live ids
+    that have no moves yet, with those steps left, so every kept child
+    has an id before layer j + 1 is made, one slot per interned id.  A
+    child whose need exceeds them is not interned: the steps left only
+    shrink in later layers, so it could never count, and the table holds
+    exactly the ids the sweep reaches.  Only two layers are live at a
+    time, and no call recurses, so the recursion limit does not bound
+    n_max.
 
     Each layer's live ids are charged to the state guard as it is
     expanded, so a completed sweep charges as many states as
@@ -284,18 +297,18 @@ def sequence_dp(walk_type: WalkType, n_max: int, limits: ResourceLimits | None =
             raise GuardExceeded(
                 f"DP for type {walk_type} needs more than {limit} memo states"
             )
+        # A child's need may not exceed the steps left after its move.
+        bound = last - n
         total = 0
         for hid in live:
             if moves[hid] is None:
-                expand(hid)
+                expand(hid, bound)
             if not needs[hid]:
                 # count alone is not copied, as 0 + count would be.
                 total = total + layer[hid] if total else layer[hid]
         totals.append(total)
         # Every child of a live id is interned now, so nxt has its slot.
         nxt = [0] * len(moves)
-        # A child's need may not exceed the steps left after its move.
-        bound = last - n
         for hid in live:
             count = layer[hid]
             # A move of weight 1 adds the count itself: no long multiplication.
@@ -346,9 +359,11 @@ def _state_table(walk_type: WalkType, radix: int) -> tuple:
     when its key is new.  needs[i] is id i's need, set when it is
     interned from its parent's need: the sum of its returning heights
     (excursions and bridges, bridges as |h|).  pending[i] is id i's
-    record (heights, key); expand builds moves[i] from it and needs[i],
-    once, as a tuple of (weight, child id, the child's need), and then
-    releases it.
+    record (heights, key); expand(i, steps) builds moves[i] from it and
+    needs[i], once, as a tuple of (weight, child id, the child's need),
+    and then releases it.  It leaves out, and does not intern, each child
+    whose need exceeds steps.  steps defaults to radix, above every need,
+    so by default every child is kept.
 
     A returning height h needs at least h steps to reach 0 and one step
     moves one dimension, so a state whose need exceeds the steps left is
@@ -377,10 +392,10 @@ def _state_table(walk_type: WalkType, radix: int) -> tuple:
         needs.append(need)
         return cid
 
-    def expand(hid: int) -> tuple:
+    def expand(hid: int, steps: int = radix) -> tuple:
         heights, key = pending[hid]
         need = needs[hid]
-        built = [(r, hid, need)] if r else []
+        built = [(r, hid, need)] if r and need <= steps else []
         ci = 0
         while ci < span:
             h = heights[ci]
@@ -389,18 +404,20 @@ def _state_table(walk_type: WalkType, radix: int) -> tuple:
                 end += 1
             m = end - ci
             child_need = need + returns[ci]
-            child = key + place[end - 1]
-            cid = ids.get(child)
-            if cid is None:
-                cid = intern(child, heights[: end - 1] + (h + 1,) + heights[end:], child_need)
-            built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need))
-            if h:
-                child_need = need - returns[ci]
-                child = key - place[ci]
+            if child_need <= steps:
+                child = key + place[end - 1]
                 cid = ids.get(child)
                 if cid is None:
-                    cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
-                built.append((m, cid, child_need))
+                    cid = intern(child, heights[: end - 1] + (h + 1,) + heights[end:], child_need)
+                built.append((2 * m if h == 0 and doubles[ci] else m, cid, child_need))
+            if h:
+                child_need = need - returns[ci]
+                if child_need <= steps:
+                    child = key - place[ci]
+                    cid = ids.get(child)
+                    if cid is None:
+                        cid = intern(child, heights[:ci] + (h - 1,) + heights[ci + 1 :], child_need)
+                    built.append((m, cid, child_need))
             ci = end
         pending[hid] = None
         built = moves[hid] = tuple(built)

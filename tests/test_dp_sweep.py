@@ -54,6 +54,30 @@ def test_sequence_charges_what_count_dp_stores(letters):
     )
 
 
+@pytest.mark.parametrize("letters", all_type_strings(4))
+def test_a_sweep_interns_only_the_ids_it_reaches(monkeypatch, letters):
+    wt = canonicalize_type(letters)
+    tables = []
+    build = oracle._state_table
+
+    def captured(walk_type, radix):
+        tables.append(build(walk_type, radix))
+        return tables[-1]
+
+    monkeypatch.setattr(oracle, "_state_table", captured)
+    for n in (0, 1, 5, 8):
+        tables.clear()
+        sequence_dp(wt, n)
+        [(moves, _, _)] = tables
+        last = n - 1 if n % 2 and parity_locked(letters) else n
+        # Layer j keeps the children whose need fits the last - j steps left.
+        live, reached = {0}, {0}
+        for j in range(1, last + 1):
+            live = {cid for hid in live for _, cid, need in moves[hid] if need <= last - j}
+            reached |= live
+        assert len(moves) == len(reached)
+
+
 def test_central_binomials_of_one_meander():
     assert sequence_dp(canonicalize_type("c"), 2000) == [comb(n, n // 2) for n in range(2001)]
 

@@ -209,6 +209,16 @@ def test_golden_tables_load_no_formula_module():
     assert sorted(loaded.intersection(FORMULA_MODULES)) == []
 
 
+def test_golden_tables_load_no_oracle_and_verify_does():
+    golden = loaded_after("from touchard import catalog\ncatalog.golden_table3()")
+    assert "touchard.oracle" not in golden
+    verified = loaded_after(
+        "from touchard import catalog, walks\n"
+        "catalog.verify(walks.canonicalize_type('bdd'), 3)"
+    )
+    assert "touchard.oracle" in verified
+
+
 def test_verify_loads_the_formula_modules():
     loaded = loaded_after(
         "from touchard import catalog, walks\n"
@@ -217,9 +227,10 @@ def test_verify_loads_the_formula_modules():
     assert sorted(loaded.intersection(FORMULA_MODULES)) == list(FORMULA_MODULES)
 
 
-# A catalog formula name, a type whose verify calls it through the name,
+# A deferred catalog name, a type whose verify calls it through the name,
 # and how many calls verify makes for n = 0..3.
 CATALOG_NAMES = [
+    ("sequence_dp", "ce", 1),
     ("general_sequence", "ce", 1),
     ("general_count", "ac", 4),
     ("catalan", "ae", 4),

@@ -15,14 +15,14 @@ and a walk of the type interleaves one walk per factor, so
     count(type, n) = n! [x^n] e^{r x} * prod over constrained dims F_kind(x).
 
 Every factor is hypergeometric: its EGF coefficient e_m = term m / m!
-is e_(m-2) times a ratio of small integers, one per parity class of m,
-and for a meander or e^{r x}, whose terms are never 0, e_(m-1) times
-one.  Each ratio is data, kept in the factor's unit record (_Unit): a
+is e_(m-2) times a ratio of small integers, one per parity class of m.
+Each ratio is data, kept in the factor's unit record (_Unit): a
 constant times linear factors c m + o over a constant times linear
 factors, and over one parity class each factor runs through a range.
-An excursion's is 4 / ((m + 2)(m + 4)), a meander's 2 / (m + 2) for
-even m and 2 / (m + 1) for odd m, and e^{r x}'s r / (m + 1).  Every
-route below rolls terms by these ratios.
+An excursion's is 4 / ((m + 2)(m + 4)) and a bridge's 4 / (m + 2)^2,
+both for even m alone; a meander's 4 / (m + 2)^2 for even m and
+4 / ((m + 1)(m + 3)) for odd m; and e^{r x}'s r^2 / ((m + 1)(m + 2))
+for both.  Every route below rolls terms by these ratios.
 
 A type with one or two factors needs no term table.  One factor's count
 is its term n, from exactmath.  Two factors a and b make the single sum
@@ -52,10 +52,9 @@ g_(m-2) times a quotient of small integers, one per parity class.
 
 _plan splits each type once into units, and both entry points compute
 with them.  A unit is one record (_Unit), whether it stands for a kind
-(_KINDS), for e^{r x} (_free) or for a group (_GROUPS): its count at m,
-its two-step ratios and, for a meander and e^{r x}, the one-step ones
-they are built from (_stepped).  So every route below takes a unit
-without asking what it stands for.
+(_KINDS), for e^{r x} (_free) or for a group (_GROUPS): its count at m
+and its two-step ratios.  So every route below takes a unit without
+asking what it stands for.
 One or two factors are their own units.  Three or four make two units,
 at least one a group: (pair) single, as ccc = (cc) c; (pair) e^{r x}, as
 acd = (ac) e^{x}; (pair) (pair), as cccc = (cc) (cc); and (x e^{2x})
@@ -173,16 +172,15 @@ class _Unit(NamedTuple):
     product form, from exactmath, or r^m.  even and odd are ratios
     (num, den) of _Polys with u_(m + 2) / u_m = num(m) / den(m) for even
     and for odd m, where u_m = count(m) / m! is the unit's EGF
-    coefficient.  odd is None when every odd term is 0.  one holds the
-    ratios u_(m + 1) / u_m for even and for odd m of a meander and of
-    e^{r x}, whose terms are never 0, and is None for every other unit:
-    it is _stepped's input, from which even and odd are built.
+    coefficient.  odd is None when every odd term is 0.  So an excursion
+    has even 4 / ((m + 2)(m + 4)) and a bridge 4 / (m + 2)^2, odd None; a
+    meander even 4 / (m + 2)^2 and odd 4 / ((m + 1)(m + 3)); and e^{r x}
+    r^2 / ((m + 1)(m + 2)) for both.
     """
 
     count: Callable
     even: tuple
     odd: tuple | None
-    one: tuple | None = None
 
     @property
     def returns_to_zero(self) -> bool:
@@ -190,30 +188,13 @@ class _Unit(NamedTuple):
         return self.odd is None
 
 
-def _stepped(count: Callable, one: tuple) -> _Unit:
-    """The unit with one-step ratios one, whose terms are never 0.
-
-    Each two-step ratio is one's at m times the other parity's at m + 1.
-    """
-    even, odd = (
-        tuple(
-            _Poly(
-                this.const * after.const,
-                this.factors + tuple((c, o + c) for c, o in after.factors),
-            )
-            for this, after in zip(one[parity], one[1 - parity])
-        )
-        for parity in (0, 1)
-    )
-    return _Unit(count, even, odd, one)
-
-
-# The constrained kinds, by letter.  An excursion has u_(2i) = 1 / (i! (i + 1)!)
-# and a bridge 1 / (i! i!), and their odd terms are 0, so they keep
-# u_(m + 2) / u_m for even m alone.  A meander has
-# u_m = 1 / (floor(m / 2)! ceil(m / 2)!), never 0.  Each count, like each
-# group's below, calls exactmath through this module's names when it runs,
-# not through references taken at import.
+# The constrained kinds, by letter, each with u_(m + 2) / u_m.  An excursion
+# has u_(2i) = 1 / (i! (i + 1)!), so 4 / ((m + 2)(m + 4)), and a bridge
+# 1 / (i! i!), so 4 / (m + 2)^2; their odd terms are 0, so they keep the
+# ratio for even m alone.  A meander has u_m = 1 / (floor(m / 2)! ceil(m / 2)!),
+# never 0: 4 / (m + 2)^2 for even m and 4 / ((m + 1)(m + 3)) for odd m.  Each
+# count, like each group's below, calls exactmath through this module's names
+# when it runs, not through references taken at import.
 _KINDS = {
     "a": _Unit(lambda m: 0 if m % 2 else catalan(m // 2), (_Poly(4), _Poly(1, _m(2, 4))), None),
     "b": _Unit(
@@ -221,17 +202,22 @@ _KINDS = {
         (_Poly(4), _Poly(1, _m(2, 2))),
         None,
     ),
-    "c": _stepped(
+    "c": _Unit(
         lambda m: central_binomial_any(m),
-        ((_Poly(2), _Poly(1, _m(2))), (_Poly(2), _Poly(1, _m(1)))),
+        (_Poly(4), _Poly(1, _m(2, 2))),
+        (_Poly(4), _Poly(1, _m(1, 3))),
     ),
 }
 
 
 @cache
 def _free(r: int) -> _Unit:
-    """e^{r x}, the pool of all r unrestricted directions: r^m walks of m steps."""
-    return _stepped(lambda m: r**m, ((_Poly(r), _Poly(1, _m(1))),) * 2)
+    """e^{r x}, the pool of all r unrestricted directions: r^m walks of m steps.
+
+    u_m = r^m / m!, so u_(m + 2) / u_m = r^2 / ((m + 1)(m + 2)) for both parities.
+    """
+    ratio = (_Poly(r * r), _Poly(1, _m(1, 2)))
+    return _Unit(lambda m: r**m, ratio, ratio)
 
 
 # The nine groups, by the letters of their two-factor types.  Each ratio is

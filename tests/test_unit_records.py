@@ -1,10 +1,10 @@
 """Each unit record's ratio data rolls to its own count.
 
 A unit of the master summation (closedforms._Unit) carries its count at m
-and its ratios of u_m = count(m) / m!: u_(m + 2) / u_m for even and for
-odd m, and, for a meander and e^{r x}, whose terms are never 0,
-u_(m + 1) / u_m.  Here the three constrained kinds and e^{r x} for
-r = 1..6; tests/test_pair_groups.py checks the nine groups the same way.
+and its ratios u_(m + 2) / u_m of u_m = count(m) / m!, for even and for
+odd m, and nothing else.  Here the three constrained kinds and e^{r x}
+for r = 1..6; tests/test_pair_groups.py checks the nine groups the same
+way.
 """
 
 from math import comb
@@ -23,19 +23,17 @@ UNITS = {
 }
 
 
-def _rolled(unit, step, top):
-    """count(0..top) of a unit, each term rolled by its step-long ratio from the terms before it."""
-    counts = [unit.count(m) for m in range(step)]
-    for m in range(top + 1 - step):
-        ratios = unit.one if step == 1 else (unit.even, unit.odd)
-        ratio = ratios[m % 2]
+def _rolled(unit, top):
+    """count(0..top) of a unit, each term rolled by its two-step ratio from the term two before it."""
+    counts = [unit.count(0), unit.count(1)]
+    for m in range(top - 1):
+        ratio = (unit.even, unit.odd)[m % 2]
         if ratio is None:
             counts.append(0)
             continue
         num, den = ratio
-        # count(m + step) = count(m) (m + 1)...(m + step) u_(m + step) / u_m, an exact division.
-        rising = (m + 1) * (m + 2) if step == 2 else m + 1
-        quotient, remainder = divmod(counts[m] * rising * num(m), den(m))
+        # count(m + 2) = count(m) (m + 1)(m + 2) u_(m + 2) / u_m, an exact division.
+        quotient, remainder = divmod(counts[m] * (m + 1) * (m + 2) * num(m), den(m))
         assert remainder == 0, (unit, m)
         counts.append(quotient)
     return counts
@@ -44,8 +42,7 @@ def _rolled(unit, step, top):
 def test_the_kinds_and_which_units_keep_one_step_ratios():
     assert sorted(closedforms._KINDS) == ["a", "b", "c"]
     assert [letter for letter, (unit, _) in UNITS.items() if unit.returns_to_zero] == ["a", "b"]
-    assert [letter for letter, (unit, _) in UNITS.items() if unit.one is None] == ["a", "b"]
-    assert all(group.one is None for group in closedforms._GROUPS.values())
+    assert closedforms._Unit._fields == ("count", "even", "odd")
     assert closedforms._free(3) is closedforms._free(3)
 
 
@@ -58,13 +55,4 @@ def test_each_unit_counts_its_walks(letter):
 @pytest.mark.parametrize("letter", sorted(UNITS))
 def test_two_step_ratios_roll_to_the_count(letter):
     unit, _ = UNITS[letter]
-    assert _rolled(unit, 2, TOP) == [unit.count(m) for m in range(TOP + 1)]
-
-
-ONE_STEP = sorted(letter for letter, (unit, _) in UNITS.items() if unit.one)
-
-
-@pytest.mark.parametrize("letter", ONE_STEP)
-def test_one_step_ratios_roll_to_the_count(letter):
-    unit, _ = UNITS[letter]
-    assert _rolled(unit, 1, TOP) == [unit.count(m) for m in range(TOP + 1)]
+    assert _rolled(unit, TOP) == [unit.count(m) for m in range(TOP + 1)]
